@@ -80,8 +80,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     part, trace = solve(g, params)
     wall = time.perf_counter() - start
 
-    ua = math.floor(params.ub_fraction * g.n)
-    problems = partition_violations(g, part, params.la, ua, params.lb, ua)
+    problems = partition_violations(g, part, *params.bounds(g.n))
     if len(part.a) + len(part.b) + len(part.s) != g.n:
         problems.append("set sizes do not sum to n")
     if problems:
@@ -125,8 +124,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     g = _load_graph(args.input, args.format)
-    ua = math.floor(args.ub_frac * g.n)
-    result = brute_force_vsp(g, args.lb, ua, args.lb, ua)
+    bounds = SolveParams(ub_fraction=args.ub_frac, la=args.lb, lb=args.lb).bounds(g.n)
+    result = brute_force_vsp(g, *bounds)
     report: dict = {"input_path": str(args.input), "n": g.n, "feasible": result.feasible}
     if result.feasible:
         w: Partition = result.witness
@@ -148,6 +147,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     manifest = Path(args.manifest)
     base = manifest.parent
+    params = SolveParams(seed=args.seed)
     rows = []
     for ln in manifest.read_text(encoding="utf-8").splitlines():
         ln = ln.strip()
@@ -170,10 +170,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             continue
         g = _load_graph(str(path), None)
         start = time.perf_counter()
-        part, _ = solve(g, SolveParams(seed=args.seed))
+        part, _ = solve(g, params)
         wall = time.perf_counter() - start
-        ua = math.floor(0.503 * g.n)
-        problems = partition_violations(g, part, 1, ua, 1, ua)
+        problems = partition_violations(g, part, *params.bounds(g.n))
         sparsity = 2 * g.m / (g.n * (g.n - 1)) if g.n > 1 else 0.0
         ratio = part.separator_weight / ref_sep if ref_sep else math.inf
         ok = not problems and g.n == expected_n and ratio <= threshold

@@ -51,9 +51,6 @@ class Graph:
         lo, hi = self.indptr[v], self.indptr[v + 1]
         return self.indices[lo:hi], self.weights[lo:hi]
 
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield each undirected edge once as (u, v, w) with u < v."""
         for u in range(self.n):

@@ -1,10 +1,12 @@
 """Coarsening hierarchy and the multilevel solve driver.
 
-Coarsening pairs each vertex with its most strongly coupled unmatched
-neighbor and contracts the pairs; edge weights between aggregates add up,
-as do vertex costs, sizes, and the interaction matrix.  Uncoarsening
-copies aggregate values to their members, so every objective value and
-sum constraint is preserved exactly across levels.
+A level is its bilinear program (``CbpInstance``) plus ``cmap``, the
+array sending each finer-level vertex to its aggregate.  Coarsening pairs
+each vertex with its most strongly coupled unmatched neighbor, read off
+the off-diagonal of B, and contracts the pairs: with P the 0/1 aggregation
+matrix, B_c = P^T B P, c_c = P^T c and s_c = P^T s.  Uncoarsening copies
+aggregate values to their members (x = x_c[cmap]), so every objective
+value and sum constraint is preserved exactly across levels.
 """
 
 from __future__ import annotations
@@ -61,6 +63,11 @@ class SolveParams:
         if self.la < 0 or self.lb < 0:
             raise ValueError("lower bounds must be >= 0")
 
+    def bounds(self, n: int) -> tuple[int, int, int, int]:
+        """Side-size bounds (la, ua, lb, ub) for an n-vertex graph."""
+        ua = math.floor(self.ub_fraction * n)
+        return self.la, ua, self.lb, ua
+
 
 @dataclass(frozen=True)
 class Matching:
@@ -72,17 +79,16 @@ class Matching:
 
 @dataclass(frozen=True, eq=False)
 class Level:
-    """One level: its graph, its program, and the map down to the finer level."""
+    """One level: its program and the map from the finer level's vertices
+    to this level's aggregates (None on the finest level)."""
 
-    graph: Graph
     inst: CbpInstance
-    parent_map: tuple[tuple[int, ...], ...] | None  # None on the finest level
+    cmap: np.ndarray | None
 
 
 @dataclass(frozen=True, eq=False)
 class Hierarchy:
     levels: tuple[Level, ...]  # finest first
-    params: SolveParams
 
 
 @dataclass
@@ -95,76 +101,70 @@ class LevelTrace:
     separator_weight: int
 
 
-def ascending_degree_order(g: Graph) -> np.ndarray:
-    """Vertices by increasing degree, ties toward the lower index."""
-    return np.argsort(g.degrees(), kind="stable")
+def ascending_degree_order(B: sp.csr_array) -> np.ndarray:
+    """Vertices by increasing degree, ties toward the lower index.
+
+    Every row of B stores its diagonal, so row lengths are degree + 1 and
+    sort the same way."""
+    return np.argsort(np.diff(B.indptr), kind="stable")
 
 
-def random_order(g: Graph, rng: np.random.Generator) -> np.ndarray:
-    return rng.permutation(g.n)
-
-
-def heavy_edge_matching(g: Graph, order: np.ndarray) -> Matching:
+def heavy_edge_matching(B: sp.csr_array, order: np.ndarray) -> Matching:
     """Visit vertices in the given order, pairing each unmatched vertex with
-    its unmatched neighbor of maximum edge weight (ties toward the lower
-    index).  Vertices with no unmatched neighbor stay single."""
-    mate = np.full(g.n, -1, dtype=np.int64)
+    its unmatched neighbor of maximum weight in B's off-diagonal (ties
+    toward the lower index).  Vertices with no unmatched neighbor stay
+    single."""
+    indptr, indices, data = B.indptr.tolist(), B.indices.tolist(), B.data.tolist()
+    mate = [-1] * B.shape[0]
     pairs: list[tuple[int, int]] = []
-    for u in order:
-        u = int(u)
+    for u in map(int, order):
         if mate[u] >= 0:
             continue
         best = -1
         best_w = 0
-        nbrs, ws = g.neighbors(u)
-        for v, w in zip(nbrs, ws):
-            if mate[v] < 0 and w > best_w:
-                best, best_w = int(v), int(w)
+        for k in range(indptr[u], indptr[u + 1]):
+            v = indices[k]
+            if v != u and mate[v] < 0 and data[k] > best_w:
+                best, best_w = v, data[k]
         if best >= 0:
             mate[u] = best
             mate[best] = u
             pairs.append((u, best))
-    singles = tuple(int(v) for v in np.flatnonzero(mate < 0))
+    singles = tuple(v for v, w in enumerate(mate) if w < 0)
     return Matching(tuple(pairs), singles)
 
 
 def contract(level: Level, m: Matching) -> Level:
     """Merge each matched pair into one coarse vertex.
 
-    Costs and sizes add over a group; parallel edges between two groups
-    merge into one edge carrying the summed weight.  The coarse interaction
-    matrix is the group-wise sum of the fine one, which keeps the bilinear
-    objective of any prolonged point identical to its coarse value.
+    Coarse vertices are numbered by their smallest member.  Costs and sizes
+    add over a group; parallel edges between two groups merge into one
+    edge carrying the summed weight.  The coarse interaction matrix is the
+    group-wise sum of the fine one, which keeps the bilinear objective of
+    any prolonged point identical to its coarse value.
     """
-    g = level.graph
-    seen = np.zeros(g.n, dtype=bool)
-    for u, v in m.pairs:
-        nbrs, _ = g.neighbors(u)
-        if v not in nbrs:
-            raise ValueError(f"matched pair ({u}, {v}) is not an edge")
-        seen[u] = seen[v] = True
-    seen[list(m.singletons)] = True
-    if not seen.all() or sum(len(p) for p in m.pairs) + len(m.singletons) != g.n:
+    fine = level.inst
+    n = fine.n
+    pairs = np.asarray(m.pairs, dtype=np.int64).reshape(-1, 2)
+    ids = np.arange(n)
+    members = np.concatenate([pairs.ravel(), np.asarray(m.singletons, dtype=np.int64)])
+    if not np.array_equal(np.sort(members), ids):
         raise ValueError("matching does not partition the vertex set")
+    u, v = pairs.T
+    if pairs.size and np.any((u == v) | (fine.B[u, v] == 0)):
+        raise ValueError("a matched pair is not an edge")
 
-    groups = sorted(
-        [tuple(sorted(p)) for p in m.pairs] + [(v,) for v in m.singletons],
-        key=lambda grp: grp[0],
-    )
-    nc = len(groups)
-    fine = np.fromiter((v for grp in groups for v in grp), dtype=np.int64, count=g.n)
-    coarse = np.fromiter(
-        (i for i, grp in enumerate(groups) for _ in grp), dtype=np.int64, count=g.n
-    )
-    P = sp.csr_array((np.ones(g.n), (fine, coarse)), shape=(g.n, nc))
+    leader = ids.copy()
+    leader[pairs.ravel()] = np.minimum(u, v).repeat(2)
+    is_leader = leader == ids
+    cmap = (np.cumsum(is_leader) - 1)[leader]
+    nc = int(is_leader.sum())
+    P = sp.csr_array((np.ones(n), (ids, cmap)), shape=(n, nc))
 
-    Bc = sp.csr_array(P.T @ level.inst.B @ P)
-    cc = P.T @ level.inst.c
-    sc = P.T @ level.inst.s
     inst = CbpInstance(
-        nc, Bc, cc, sc, level.inst.la, level.inst.ua, level.inst.lb, level.inst.ub
+        nc, P.T @ fine.B @ P, P.T @ fine.c, P.T @ fine.s, fine.la, fine.ua, fine.lb, fine.ub
     )
-    return Level(_interaction_graph(inst), inst, tuple(groups))
+    return Level(inst, cmap)
 
 
 def _interaction_graph(inst: CbpInstance) -> Graph:
@@ -182,41 +182,31 @@ def _interaction_graph(inst: CbpInstance) -> Graph:
 
 def prolong(coarse: Level, p: Point) -> Point:
     """Copy each aggregate's x/y values to all of its fine-level members."""
-    pm = coarse.parent_map
-    if pm is None:
+    if coarse.cmap is None:
         raise ValueError("the finest level cannot be prolonged")
-    n_fine = sum(len(grp) for grp in pm)
-    x = np.zeros(n_fine)
-    y = np.zeros(n_fine)
-    for idx, grp in enumerate(pm):
-        for v in grp:
-            x[v] = p.x[idx]
-            y[v] = p.y[idx]
-    return Point(x, y)
+    return Point(p.x[coarse.cmap], p.y[coarse.cmap])
 
 
 def build_hierarchy(g: Graph, params: SolveParams) -> Hierarchy:
     """Coarsen until the graph is small enough or matching stops shrinking it.
 
-    The sum bounds ua = ub = floor(ub_fraction * n) are fixed from the
-    finest level; the size vector keeps them meaningful on coarse levels.
+    The sum bounds are fixed from the finest level (SolveParams.bounds);
+    the size vector keeps them meaningful on coarse levels.
     """
-    ua = math.floor(params.ub_fraction * g.n)
-    if ua < params.la or ua < params.lb:
-        raise InfeasibleError(
-            f"upper bound {ua} below lower bounds ({params.la}, {params.lb})"
-        )
-    levels = [Level(g, instance_from_graph(g, params.la, ua, params.lb, ua), None)]
+    la, ua, lb, ub = params.bounds(g.n)
+    if ua < la or ub < lb:
+        raise InfeasibleError(f"upper bound {ua} below lower bounds ({la}, {lb})")
+    levels = [Level(instance_from_graph(g, la, ua, lb, ub), None)]
     while len(levels) < params.max_levels:
-        cur = levels[-1]
-        if cur.graph.n <= params.coarsest_size:
+        cur = levels[-1].inst
+        if cur.n <= params.coarsest_size:
             break
-        matching = heavy_edge_matching(cur.graph, ascending_degree_order(cur.graph))
+        matching = heavy_edge_matching(cur.B, ascending_degree_order(cur.B))
         n_next = len(matching.pairs) + len(matching.singletons)
-        if n_next > 0.95 * cur.graph.n:
+        if n_next > 0.95 * cur.n:
             break
-        levels.append(contract(cur, matching))
-    return Hierarchy(tuple(levels), params)
+        levels.append(contract(levels[-1], matching))
+    return Hierarchy(tuple(levels))
 
 
 def _reachable_sums(s: np.ndarray) -> int:
@@ -362,7 +352,7 @@ def solve(g: Graph, params: SolveParams | None = None) -> tuple[Partition, list[
     trace = [
         LevelTrace(
             level=len(levels) - 1,
-            n=coarsest.graph.n,
+            n=coarsest.inst.n,
             objective_before=None,
             objective_after=objective(coarsest.inst, p, coarsest.inst.gamma0),
             escapes=stats.get("escapes", 0),
@@ -381,7 +371,7 @@ def solve(g: Graph, params: SolveParams | None = None) -> tuple[Partition, list[
         trace.append(
             LevelTrace(
                 level=li,
-                n=fine.graph.n,
+                n=fine.inst.n,
                 objective_before=f_before,
                 objective_after=objective(fine.inst, p, fine.inst.gamma0),
                 escapes=stats.get("escapes", 0),

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from vsep.cli import main
 
 P5_METIS = "5 4\n2\n1 3\n2 4\n3 5\n4\n"
@@ -136,6 +138,18 @@ def test_oracle_too_large_exit_5(tmp_path, capsys):
     )
     code, _, _ = run(capsys, "oracle", str(f))
     assert code == 5
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+@pytest.mark.parametrize(
+    "flags", [("--ub-frac", "0"), ("--ub-frac", "1.5"), ("--lb", "-1")], ids=["ub0", "ub1.5", "lb-1"]
+)
+def test_bad_bound_flags_exit_2(tmp_path, capsys, command, flags):
+    f = write(tmp_path, "p5.graph", P5_METIS)
+    code, out, err = run(capsys, command, str(f), *flags)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
 
 
 def test_oracle_json(tmp_path, capsys):

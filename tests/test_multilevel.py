@@ -18,7 +18,7 @@ from vsep.cbp import (
     objective,
     partition_violations,
 )
-from vsep.graphs import Graph, validate
+from vsep.graphs import Graph
 from vsep.multilevel import (
     InfeasibleError,
     Level,
@@ -39,33 +39,38 @@ EPS = 1e-9
 def finest_level(g, la=1, ua=None, lb=1, ub=None):
     ua = math.floor(0.503 * g.n) if ua is None else ua
     ub = ua if ub is None else ub
-    return Level(g, instance_from_graph(g, la, ua, lb, ub), None)
+    return Level(instance_from_graph(g, la, ua, lb, ub), None)
+
+
+def matrix(g):
+    """The finest-level interaction matrix B of g."""
+    return finest_level(g).inst.B
 
 
 # --------------------------------------------------------- heavy_edge_matching
 
 
 def test_matching_p3():
-    m = heavy_edge_matching(path_graph(3), np.array([0, 1, 2]))
+    m = heavy_edge_matching(matrix(path_graph(3)), np.array([0, 1, 2]))
     assert m.pairs == ((0, 1),)
     assert m.singletons == (2,)
 
 
 def test_matching_c4_tie_picks_lower_index():
-    m = heavy_edge_matching(cycle_graph(4), np.arange(4))
+    m = heavy_edge_matching(matrix(cycle_graph(4)), np.arange(4))
     assert m.pairs == ((0, 1), (2, 3))
     assert m.singletons == ()
 
 
 def test_matching_edgeless():
-    m = heavy_edge_matching(empty_graph(3), np.arange(3))
+    m = heavy_edge_matching(matrix(empty_graph(3)), np.arange(3))
     assert m.pairs == ()
     assert m.singletons == (0, 1, 2)
 
 
 def test_matching_prefers_heavier_edge():
     g = Graph.from_edges(3, [(0, 1, 1), (0, 2, 5)])
-    m = heavy_edge_matching(g, np.array([0, 1, 2]))
+    m = heavy_edge_matching(matrix(g), np.array([0, 1, 2]))
     assert m.pairs == ((0, 2),)
 
 
@@ -73,7 +78,8 @@ def test_matching_is_valid_on_random_graphs():
     rng = np.random.default_rng(2)
     for trial in range(25):
         g = gnp(int(rng.integers(2, 40)), 0.3, seed=600 + trial)
-        m = heavy_edge_matching(g, ascending_degree_order(g))
+        B = matrix(g)
+        m = heavy_edge_matching(B, ascending_degree_order(B))
         seen = sorted([v for p in m.pairs for v in p] + list(m.singletons))
         assert seen == list(range(g.n))
         for u, v in m.pairs:
@@ -95,15 +101,15 @@ def test_contract_p3():
     assert B[0, 0] == 4  # diag sum 2 plus twice the internal edge
     assert B[0, 1] == B[1, 0] == 1
     assert B[1, 1] == 1
-    assert coarse.parent_map == ((0, 1), (2,))
-    assert validate(coarse.graph) == []
+    assert coarse.cmap.tolist() == [0, 0, 1]
+    assert (inst.B != inst.B.T).nnz == 0
 
 
 def test_contract_identity():
     lvl = finest_level(path_graph(4))
     coarse = contract(lvl, Matching((), (0, 1, 2, 3)))
     assert np.array_equal(coarse.inst.B.toarray(), lvl.inst.B.toarray())
-    assert coarse.graph == lvl.graph
+    assert coarse.cmap.tolist() == list(range(4))
 
 
 def test_contract_k2():
@@ -114,15 +120,48 @@ def test_contract_k2():
     assert coarse.inst.B.toarray()[0, 0] == 4
 
 
+def test_contract_matches_loop_reference():
+    """cmap and the coarse program against a plain loop over sorted groups."""
+    rng = np.random.default_rng(5)
+    for trial in range(10):
+        g = gnp(int(rng.integers(2, 40)), 0.2, seed=900 + trial)
+        lvl = finest_level(g)
+        m = heavy_edge_matching(lvl.inst.B, rng.permutation(g.n))
+        coarse = contract(lvl, m)
+        groups = sorted([tuple(sorted(p)) for p in m.pairs] + [(v,) for v in m.singletons])
+        cmap = np.zeros(g.n, dtype=np.int64)
+        for i, grp in enumerate(groups):
+            cmap[list(grp)] = i
+        assert coarse.cmap.tolist() == cmap.tolist()
+        B = lvl.inst.B.toarray()
+        Bc = np.zeros((len(groups), len(groups)))
+        for i in range(g.n):
+            for j in range(g.n):
+                Bc[cmap[i], cmap[j]] += B[i, j]
+        assert np.array_equal(coarse.inst.B.toarray(), Bc)
+        assert coarse.inst.c.tolist() == [float(lvl.inst.c[list(grp)].sum()) for grp in groups]
+        assert coarse.inst.s.tolist() == [float(lvl.inst.s[list(grp)].sum()) for grp in groups]
+
+
 def test_contract_rejects_non_edge_pair():
     lvl = finest_level(path_graph(3))
     with pytest.raises(ValueError):
         contract(lvl, Matching(((0, 2),), (1,)))
+    with pytest.raises(ValueError):
+        contract(lvl, Matching(((1, 1),), (0, 2)))
+
+
+def test_contract_rejects_non_partition():
+    lvl = finest_level(path_graph(3))
+    with pytest.raises(ValueError):
+        contract(lvl, Matching(((0, 1),), ()))  # vertex 2 missing
+    with pytest.raises(ValueError):
+        contract(lvl, Matching(((0, 1),), (1, 2)))  # vertex 1 twice
 
 
 def test_contract_carries_bounds():
     lvl = finest_level(path_graph(6), la=1, ua=3, lb=1, ub=3)
-    coarse = contract(lvl, heavy_edge_matching(lvl.graph, np.arange(6)))
+    coarse = contract(lvl, heavy_edge_matching(lvl.inst.B, np.arange(6)))
     assert (coarse.inst.la, coarse.inst.ua) == (1, 3)
     assert (coarse.inst.lb, coarse.inst.ub) == (1, 3)
 
@@ -182,7 +221,7 @@ def test_objective_preserved_under_prolongation():
 def test_hierarchy_sizes_strictly_decrease():
     g = grid_graph(12, 12)
     hier = build_hierarchy(g, SolveParams(coarsest_size=8))
-    ns = [lvl.graph.n for lvl in hier.levels]
+    ns = [lvl.inst.n for lvl in hier.levels]
     assert ns[0] == 144
     assert all(b < a for a, b in zip(ns, ns[1:]))
     assert ns[-1] <= 8 or ns[-1] > 0.95 * ns[-2]
@@ -291,6 +330,11 @@ def test_solve_rejects_invalid_graph():
     )
     with pytest.raises(ValueError):
         solve(bad)
+
+
+def test_params_bounds():
+    assert SolveParams().bounds(100) == (1, 50, 1, 50)
+    assert SolveParams(ub_fraction=0.6, la=2, lb=3).bounds(7) == (2, 4, 3, 4)
 
 
 def test_params_validation():
