@@ -550,32 +550,39 @@ def partition_violations(
     both size bounds hold, and the recorded weight matches the separator's
     cost sum.  Returns one record per violation.
     """
-    out: list[str] = []
+    groups = (part.a, part.b, part.s)
+    members = np.concatenate([np.asarray(grp, dtype=np.int64).reshape(-1) for grp in groups])
+    labels = np.repeat(np.arange(1, 4, dtype=np.int8), [len(grp) for grp in groups])
+    in_range = (members >= 0) & (members < g.n)
+    # the first occurrence of a vertex sets its side; a later one is a fault
+    _, first = np.unique(np.where(in_range, members, -1), return_index=True)
+    first = first[in_range[first]]
     side = np.zeros(g.n, dtype=np.int8)  # 1 = a, 2 = b, 3 = s
-    for label, group in ((1, part.a), (2, part.b), (3, part.s)):
-        for v in group:
-            if not 0 <= v < g.n:
-                out.append(f"vertex out of range: {v}")
-            elif side[v]:
-                out.append(f"vertex in two sets: {v}")
-            else:
-                side[v] = label
-    missing = np.flatnonzero(side == 0)
-    out.extend(f"vertex in no set: {int(v)}" for v in missing)
+    side[members[first]] = labels[first]
+    repeated = in_range.copy()
+    repeated[first] = False
+    out = [
+        f"vertex in two sets: {members[p]}" if in_range[p] else f"vertex out of range: {members[p]}"
+        for p in np.flatnonzero(~in_range | repeated).tolist()
+    ]
+    out.extend(f"vertex in no set: {v}" for v in np.flatnonzero(side == 0).tolist())
     if out:
         return out
 
-    for u in part.a:
-        nbrs, _ = g.neighbors(u)
-        for v in nbrs[side[nbrs] == 2]:
-            out.append(f"edge between a and b: ({u}, {int(v)})")
-    size_a = int(g.vertex_size[list(part.a)].sum()) if part.a else 0
-    size_b = int(g.vertex_size[list(part.b)].sum()) if part.b else 0
+    # A-B edges in the order of part.a, each row's neighbours ascending
+    rows = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    hits = np.flatnonzero((side[rows] == 1) & (side[g.indices] == 2))
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[members[: len(part.a)]] = np.arange(len(part.a))
+    hits = hits[np.argsort(rank[rows[hits]], kind="stable")]
+    out.extend(f"edge between a and b: ({u}, {v})" for u, v in zip(rows[hits].tolist(), g.indices[hits].tolist()))
+    size_a = int(g.vertex_size[side == 1].sum())
+    size_b = int(g.vertex_size[side == 2].sum())
     if not la <= size_a <= ua:
         out.append(f"size of a = {size_a} outside [{la}, {ua}]")
     if not lb <= size_b <= ub:
         out.append(f"size of b = {size_b} outside [{lb}, {ub}]")
-    weight = int(g.vertex_cost[list(part.s)].sum()) if part.s else 0
+    weight = int(g.vertex_cost[side == 3].sum())
     if weight != part.separator_weight:
         out.append(f"separator weight {part.separator_weight} != {weight}")
     return out

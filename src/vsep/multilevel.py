@@ -171,10 +171,9 @@ def _interaction_graph(inst: CbpInstance) -> Graph:
     """Graph whose weighted adjacency is the off-diagonal part of B."""
     coo = inst.B.tocoo()
     mask = (coo.row < coo.col)
-    edges = zip(coo.row[mask], coo.col[mask], coo.data[mask])
     return Graph.from_edges(
         inst.n,
-        [(int(u), int(v), int(round(w))) for u, v, w in edges],
+        np.column_stack((coo.row[mask], coo.col[mask], np.rint(coo.data[mask]))).astype(np.int64),
         vertex_cost=np.rint(inst.c).astype(np.int64),
         vertex_size=np.rint(inst.s).astype(np.int64),
     )

@@ -13,6 +13,7 @@ from vsep.cbp import (
     DegenerateRepairError,
     DimensionMismatchError,
     InfeasibleBoundsError,
+    Partition,
     Point,
     escape,
     extract_partition,
@@ -286,6 +287,79 @@ def test_extract_matches_graph_adjacency():
         q = round_to_binary(inst, refine(inst, p, inst.gamma0))
         part = extract_partition(inst, q)
         assert partition_violations(g, part, inst.la, inst.ua, inst.lb, inst.ub) == []
+
+
+def _partition_violations_loop(g, part, la, ua, lb, ub):
+    """Vertex-by-vertex reference for partition_violations."""
+    out = []
+    side = np.zeros(g.n, dtype=np.int8)
+    for label, group in ((1, part.a), (2, part.b), (3, part.s)):
+        for v in group:
+            if not 0 <= v < g.n:
+                out.append(f"vertex out of range: {v}")
+            elif side[v]:
+                out.append(f"vertex in two sets: {v}")
+            else:
+                side[v] = label
+    out.extend(f"vertex in no set: {int(v)}" for v in np.flatnonzero(side == 0))
+    if out:
+        return out
+    for u in part.a:
+        nbrs, _ = g.neighbors(u)
+        for v in nbrs[side[nbrs] == 2]:
+            out.append(f"edge between a and b: ({u}, {int(v)})")
+    size_a = int(g.vertex_size[list(part.a)].sum()) if part.a else 0
+    size_b = int(g.vertex_size[list(part.b)].sum()) if part.b else 0
+    if not la <= size_a <= ua:
+        out.append(f"size of a = {size_a} outside [{la}, {ua}]")
+    if not lb <= size_b <= ub:
+        out.append(f"size of b = {size_b} outside [{lb}, {ub}]")
+    weight = int(g.vertex_cost[list(part.s)].sum()) if part.s else 0
+    if weight != part.separator_weight:
+        out.append(f"separator weight {part.separator_weight} != {weight}")
+    return out
+
+
+def test_partition_violations_reports_ab_edge_and_doubled_vertex():
+    g = path_graph(5)
+    ab_edges = Partition(a=(3, 0, 1), b=(2, 4), s=(), separator_weight=0)
+    assert partition_violations(g, ab_edges, 1, 3, 1, 3) == [
+        "edge between a and b: (3, 2)",
+        "edge between a and b: (3, 4)",
+        "edge between a and b: (1, 2)",
+    ]
+    doubled = Partition(a=(0, 1), b=(1, 3, 4), s=(2,), separator_weight=1)
+    assert partition_violations(g, doubled, 1, 3, 1, 3) == ["vertex in two sets: 1"]
+    stray = Partition(a=(0, 7), b=(3, 4, 3), s=(2,), separator_weight=1)
+    assert partition_violations(g, stray, 1, 3, 1, 3) == [
+        "vertex out of range: 7",
+        "vertex in two sets: 3",
+        "vertex in no set: 1",
+    ]
+
+
+def test_partition_violations_matches_loop_reference():
+    rng = np.random.default_rng(31)
+    for trial in range(150):
+        n = int(rng.integers(1, 16))
+        base = gnp(n, 0.3, seed=900 + trial)
+        g = Graph.from_edges(
+            n, list(base.edges()), vertex_cost=rng.integers(0, 4, size=n), vertex_size=rng.integers(1, 3, size=n)
+        )
+        groups = [[], [], []]
+        for v in rng.permutation(n).tolist():
+            groups[int(rng.integers(3))].append(v)
+        if trial % 3 == 0:
+            groups[int(rng.integers(3))].append(int(rng.integers(-2, n + 2)))  # doubled or out of range
+        if trial % 5 == 0 and n > 1:
+            for grp in groups:
+                if grp:
+                    grp.pop()  # missing vertex
+                    break
+        weight = int(g.vertex_cost[[v for v in groups[2] if 0 <= v < n]].sum()) + int(rng.integers(-1, 2))
+        part = Partition(*(tuple(grp) for grp in groups), separator_weight=weight)
+        bounds = [int(x) for x in rng.integers(0, n + 2, size=4)]
+        assert partition_violations(g, part, *bounds) == _partition_violations_loop(g, part, *bounds)
 
 
 # --------------------------------------------------------------------- escape

@@ -62,6 +62,25 @@ def test_mm_out_of_bounds_entry(tmp_path):
         load_matrix_market(f)
 
 
+@pytest.mark.parametrize(
+    "body, exc",
+    [
+        ("1\n0 1\n", IndexError),
+        ("1\n1 0\n", IndexError),
+        ("1\n99999999999999999999 1\n", IndexError),
+        ("2\n5 1\nx y\n", IndexError),
+        ("2\nx y\n5 1\n", ParseError),
+        ("2\n1 2 3\n0 1\n", ParseError),
+        ("1\n0 1\n1 2\n", IndexError),
+        ("1\n1 2\n0 1\n", ParseError),
+    ],
+)
+def test_mm_first_faulty_entry_decides(tmp_path, body, exc):
+    f = write(tmp_path, "bad.mtx", "%%MatrixMarket matrix coordinate pattern general\n3 3 " + body)
+    with pytest.raises(exc):
+        load_matrix_market(f)
+
+
 def test_mm_duplicates_collapse_and_values_ignored(tmp_path):
     f = write(
         tmp_path,
@@ -166,12 +185,135 @@ def test_metis_full_fmt(tmp_path):
         "2 1 0 1\n2\n1\n",  # ncon without weight flag
         "1 0\n1\n",  # self-loop
         "2 2\n2 2\n1 1\n",  # duplicate neighbor
+        "2 1\n0\n1\n",  # neighbor 0
+        "2 1 1\n2 0\n1 0\n",  # edge weight 0
+        "-1 0\n",  # negative vertex count
+        "2 1\n2 x\n1\n",  # non-integer token
+        "2 1\n99999999999999999999\n1\n",  # token beyond int64
     ],
 )
 def test_metis_malformed(tmp_path, text):
     f = write(tmp_path, "bad.graph", text)
     with pytest.raises(ParseError):
         load_metis(f)
+
+
+def _load_metis_lines(text):
+    """Line-by-line reference for load_metis: (n, {(u, v): w}, cost, size), 0-based."""
+    rows = [ln for ln in text.splitlines() if not ln.startswith("%")]
+    header = rows[0].split()
+    n = int(header[0])
+    fmt = header[2] if len(header) > 2 else "0"
+    has_size, has_weight, has_eweight = (ch == "1" for ch in fmt.zfill(3))
+    vertex_lines = rows[1:] + [""] * (n - (len(rows) - 1))
+    cost, size = [1] * n, [1] * n
+    adj = [dict() for _ in range(n)]
+    for u in range(n):
+        try:
+            tokens = [int(t) for t in vertex_lines[u].split()]
+        except ValueError:
+            raise ParseError(f"non-integer token on vertex line {u + 1}") from None
+        k = 0
+        if has_size:
+            if k >= len(tokens):
+                raise ParseError(f"vertex line {u + 1} missing size")
+            size[u] = tokens[k]
+            if size[u] < 1:
+                raise ParseError(f"vertex {u + 1} has size {size[u]} < 1")
+            k += 1
+        if has_weight:
+            if k >= len(tokens):
+                raise ParseError(f"vertex line {u + 1} missing weight")
+            cost[u] = tokens[k]
+            if cost[u] < 0:
+                raise ParseError(f"vertex {u + 1} has weight {cost[u]} < 0")
+            k += 1
+        rest = tokens[k:]
+        step = 2 if has_eweight else 1
+        if len(rest) % step:
+            raise ParseError(f"vertex line {u + 1}: dangling edge weight")
+        for t in range(0, len(rest), step):
+            v = rest[t]
+            w = rest[t + 1] if has_eweight else 1
+            if not (1 <= v <= n):
+                raise ParseError(f"vertex line {u + 1}: neighbor {v} out of range")
+            if v - 1 == u:
+                raise ParseError(f"vertex line {u + 1}: self-loop")
+            if v - 1 in adj[u]:
+                raise ParseError(f"vertex line {u + 1}: duplicate neighbor {v}")
+            if w < 1:
+                raise ParseError(f"vertex line {u + 1}: edge weight {w} < 1")
+            adj[u][v - 1] = w
+    for u in range(n):
+        for v, w in adj[u].items():
+            if adj[v].get(u) != w:
+                raise AsymmetryError(f"edge ({u + 1}, {v + 1}) not mirrored on vertex {v + 1}")
+    edges = {(u, v): w for u in range(n) for v, w in adj[u].items() if u < v}
+    if len(edges) != int(header[1]):
+        raise ParseError(f"header declares {header[1]} edges, found {len(edges)}")
+    return n, edges, cost, size
+
+
+def _metis_outcome(load, text):
+    try:
+        res = load(text)
+    except ParseError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(res, Graph):
+        res = (res.n, {(u, v): w for u, v, w in res.edges()}, res.vertex_cost.tolist(), res.vertex_size.tolist())
+    return res
+
+
+def test_metis_first_faulty_line_decides(tmp_path):
+    # a self-loop on line 1 comes before a non-integer token on line 2
+    text = "2 1\n1\n1 x\n"
+    expected = ("ParseError", "vertex line 1: self-loop")
+    assert _metis_outcome(_load_metis_lines, text) == expected
+    assert _metis_outcome(lambda t: load_metis(write(tmp_path, "two.graph", t)), text) == expected
+
+
+def test_metis_errors_match_line_reader(tmp_path):
+    rng = np.random.default_rng(17)
+    fmts = ["0", "1", "10", "11", "100", "101", "110", "111"]
+    f = tmp_path / "fuzz.graph"
+
+    def load(text):
+        f.write_text(text)
+        return load_metis(f)
+
+    for trial in range(300):
+        n = int(rng.integers(1, 8))
+        fmt = fmts[trial % len(fmts)]
+        has_size, has_weight, has_eweight = (ch == "1" for ch in fmt.zfill(3))
+        base = gnp(n, 0.4, seed=500 + trial)
+        ew = {(u, v): int(rng.integers(1, 4)) for u, v, _ in base.edges()}
+        ew.update({(v, u): w for (u, v), w in list(ew.items())})
+        lines = []
+        for u in range(n):
+            toks = [int(rng.integers(1, 3))] if has_size else []
+            toks += [int(rng.integers(0, 4))] if has_weight else []
+            for v in sorted(v for (a, v) in ew if a == u):
+                toks += [v + 1, ew[(u, v)]] if has_eweight else [v + 1]
+            lines.append([str(t) for t in toks])
+        for _ in range(int(rng.integers(0, 4))):
+            toks = lines[int(rng.integers(n))]
+            kind = int(rng.integers(6))
+            pos = int(rng.integers(len(toks) + 1))
+            if kind == 0:
+                toks.insert(pos, "x")
+            elif kind == 1 and toks:
+                toks[min(pos, len(toks) - 1)] = str(int(rng.integers(-1, n + 2)))
+            elif kind == 2 and toks:
+                del toks[min(pos, len(toks) - 1)]
+            elif kind == 3:
+                toks.insert(pos, str(int(rng.integers(1, n + 1))))
+            elif kind == 4:
+                toks.clear()
+            else:
+                toks.append(toks[-1] if toks else "1")
+        m = len(ew) // 2
+        text = f"{n} {m} {fmt}\n" + "".join(" ".join(t) + "\n" for t in lines)
+        assert _metis_outcome(load, text) == _metis_outcome(_load_metis_lines, text), text
 
 
 def test_metis_round_trip_random(tmp_path):
@@ -244,6 +386,129 @@ def test_validate_bad_vertex_data():
     assert "vertex-size < 1: 1" in out
 
 
+def _graph(n, indptr, indices, weights, cost=None, size=None):
+    ones = np.ones(n, dtype=np.int64)
+    return Graph(
+        n,
+        np.array(indptr),
+        np.array(indices, dtype=np.int64),
+        np.array(weights, dtype=np.int64),
+        ones if cost is None else np.array(cost),
+        ones if size is None else np.array(size),
+    )
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (_graph(2, [0, 1, 5], [1, 0], [1, 1]), ["indptr-end: 5 != len(indices) = 2"]),
+        (_graph(2, [0, 1, 2], [5, 0], [1, 1]), ["index-out-of-range: indices[0] = 5"]),
+        (_graph(2, [0, 1, 2], [-1, 0], [1, 1]), ["index-out-of-range: indices[0] = -1"]),
+        (_graph(2, [0, 2], [1, 0], [1, 1]), ["indptr-length: 2 != n + 1 = 3"]),
+        (_graph(2, [1, 1, 2], [1, 0], [1, 1]), ["indptr-start: 1 != 0"]),
+        (_graph(3, [0, 2, 1, 2], [1, 0], [1, 1]), ["indptr-decreasing: 1"]),
+        (_graph(2, [0, 1, 2], [1, 0], [1]), ["weights-length: 1 != len(indices) = 2"]),
+        (_graph(2, [0, 1, 2], [1, 0], [1, 1], cost=[1]), ["vertex-cost-length: 1 != n = 2"]),
+        (_graph(2, [0, 1, 2], [1, 0], [1, 1], size=[1, 1, 1]), ["vertex-size-length: 3 != n = 2"]),
+    ],
+    ids=[
+        "indptr-end",
+        "index-too-large",
+        "index-negative",
+        "indptr-length",
+        "indptr-start",
+        "indptr-decreasing",
+        "weights-length",
+        "vertex-cost-length",
+        "vertex-size-length",
+    ],
+)
+def test_validate_malformed_csr(g, expected):
+    assert validate(g) == expected
+
+
+def _validate_loop(g):
+    """Row-by-row reference for validate, for well-formed CSR arrays."""
+    out = []
+    for v in range(g.n):
+        nbrs, ws = g.neighbors(v)
+        seen = {}
+        for j, w in zip(nbrs, ws):
+            j = int(j)
+            if j == v:
+                out.append(f"self-loop: {v}")
+            if j in seen:
+                out.append(f"duplicate-neighbor: ({v}, {j})")
+            seen[j] = int(w)
+            if w < 1:
+                out.append(f"edge-weight < 1: ({v}, {j})")
+        for j, w in seen.items():
+            if j == v:
+                continue
+            back, back_ws = g.neighbors(j)
+            hits = np.flatnonzero(back == v)
+            if hits.size == 0 or int(back_ws[hits[0]]) != w:
+                out.append(f"asymmetry: ({v}, {j})")
+    for v in range(g.n):
+        if g.vertex_cost[v] < 0:
+            out.append(f"vertex-cost < 0: {v}")
+        if g.vertex_size[v] < 1:
+            out.append(f"vertex-size < 1: {v}")
+    return out
+
+
+def _corrupted_graph(rng):
+    """A random weighted graph with a few faults of each kind validate reports."""
+    n = int(rng.integers(1, 12))
+    rows = [[] for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < 0.35:
+                w = int(rng.integers(1, 4))
+                rows[u].append([v, w])
+                rows[v].append([u, w])
+    cost = rng.integers(0, 4, size=n)
+    size = rng.integers(1, 4, size=n)
+
+    for _ in range(int(rng.integers(0, 4))):
+        kind = int(rng.integers(7))
+        v = int(rng.integers(n))
+        if kind == 0:
+            rows[v].append([v, int(rng.integers(0, 3))])  # self-loop
+        elif kind == 1 and rows[v]:
+            j, w = rows[v][int(rng.integers(len(rows[v])))]
+            rows[v].append([j, w + int(rng.integers(0, 2))])  # duplicate neighbour
+        elif kind == 2 and rows[v]:
+            rows[v].pop(int(rng.integers(len(rows[v]))))  # missing mirror
+        elif kind == 3 and rows[v]:
+            rows[v][int(rng.integers(len(rows[v])))][1] += 1  # unequal mirror weight
+        elif kind == 4 and rows[v]:
+            rows[v][int(rng.integers(len(rows[v])))][1] = int(rng.integers(-1, 1))  # weight < 1
+        elif kind == 5:
+            cost[v] = -1
+        elif kind == 6:
+            size[v] = 0
+    for r in rows:
+        if rng.random() < 0.7:
+            r.sort()
+        else:
+            rng.shuffle(r)  # unsorted row
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    flat = [e for r in rows for e in r]
+    return _graph(n, indptr, [j for j, _ in flat], [w for _, w in flat], cost, size)
+
+
+def test_validate_matches_loop_reference():
+    rng = np.random.default_rng(2024)
+    faulty = 0
+    for _ in range(200):
+        g = _corrupted_graph(rng)
+        expected = _validate_loop(g)
+        assert validate(g) == expected
+        faulty += bool(expected)
+    assert faulty > 100
+
+
 def test_from_edges_rejects_bad_input():
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 0)])
@@ -251,6 +516,113 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(2, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 5)])
+    with pytest.raises(ValueError):
+        Graph.from_edges(2, np.zeros((1, 4), dtype=np.int64))
+
+
+def _from_edges_loop(n, edges, vertex_cost=None, vertex_size=None):
+    """Edge-by-edge reference for Graph.from_edges."""
+    seen = {}
+    for e in edges:
+        u, v = int(e[0]), int(e[1])
+        w = int(e[2]) if len(e) > 2 else 1
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if w < 1:
+            raise ValueError(f"edge ({u}, {v}) has weight {w} < 1")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        seen[key] = w
+    adj = [[] for _ in range(n)]
+    for (u, v), w in seen.items():
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    indptr, indices, weights = [0], [], []
+    for row in adj:
+        row.sort()
+        indptr.append(indptr[-1] + len(row))
+        indices.extend(j for j, _ in row)
+        weights.extend(w for _, w in row)
+    ones = np.ones(n, dtype=np.int64)
+    return Graph(
+        n,
+        np.array(indptr),
+        np.array(indices, dtype=np.int64),
+        np.array(weights, dtype=np.int64),
+        ones if vertex_cost is None else np.asarray(vertex_cost),
+        ones if vertex_size is None else np.asarray(vertex_size),
+    )
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_from_edges_matches_loop_reference():
+    rng = np.random.default_rng(5)
+    raised = 0
+    for trial in range(150):
+        n = int(rng.integers(1, 15))
+        base = gnp(n, 0.4, seed=700 + trial)
+        edges = [(v, u, int(rng.integers(1, 6))) if rng.random() < 0.5 else (u, v, int(rng.integers(1, 6)))
+                 for u, v, _ in base.edges()]
+        rng.shuffle(edges)
+        good = list(edges)
+        if trial % 2:
+            for _ in range(int(rng.integers(1, 3))):
+                u, v = (int(x) for x in rng.integers(0, n, size=2))
+                bad = [(u, n + int(rng.integers(0, 3))), (-1, v), (u, u), (u, v, int(rng.integers(-1, 1)))]
+                if good:
+                    a, b, w = good[int(rng.integers(len(good)))]
+                    bad += [(b, a, w), (a, b)]  # duplicates
+                edges.insert(int(rng.integers(len(edges) + 1)), bad[int(rng.integers(len(bad)))])
+        expected = _outcome(_from_edges_loop, n, edges)
+        raised += isinstance(expected, str)
+        assert _outcome(Graph.from_edges, n, edges) == expected
+        weighted = np.array([(*e[:2], e[2] if len(e) > 2 else 1) for e in edges], dtype=np.int64)
+        assert _outcome(Graph.from_edges, n, weighted.reshape(-1, 3)) == expected
+        pairs = [e[:2] for e in edges]
+        assert _outcome(Graph.from_edges, n, np.array(pairs, dtype=np.int64).reshape(-1, 2)) == _outcome(
+            _from_edges_loop, n, pairs
+        )
+    assert raised > 40
+
+
+def test_loaders_match_from_edges_on_rgg(tmp_path):
+    from scipy.spatial import cKDTree
+
+    n = 2000
+    rng = np.random.default_rng(11)
+    pairs = cKDTree(rng.random((n, 2))).query_pairs(r=0.035, output_type="ndarray")
+    w = rng.integers(1, 5, size=len(pairs))
+    cost = rng.integers(0, 4, size=n)
+    g = Graph.from_edges(n, np.column_stack((pairs, w)), vertex_cost=cost)
+    assert g == _from_edges_loop(n, [tuple(e) for e in np.column_stack((pairs, w))], vertex_cost=cost)
+    assert validate(g) == [] and g.m == len(pairs)
+
+    # METIS with vertex and edge weights, neighbours listed in shuffled order
+    lines = [f"{n} {g.m} 011 1"]
+    for u in range(n):
+        nbrs, ws = g.neighbors(u)
+        tokens = [f"{v + 1} {x}" for v, x in zip(nbrs, ws)]
+        rng.shuffle(tokens)
+        lines.append(" ".join([str(cost[u])] + tokens))
+    assert load_metis(write(tmp_path, "rgg.graph", "\n".join(lines) + "\n")) == g
+
+    # MatrixMarket: both triangles, repeated entries and diagonal entries, shuffled
+    entries = np.vstack((pairs, pairs[:, ::-1], pairs[:100], np.repeat(np.arange(0, n, 7), 2).reshape(-1, 2))) + 1
+    entries = entries[rng.permutation(len(entries))]
+    text = "%%MatrixMarket matrix coordinate real general\n" + f"{n} {n} {len(entries)}\n"
+    text += "".join(f"{i} {j} {rng.normal():.3f}\n" for i, j in entries)
+    assert load_matrix_market(write(tmp_path, "rgg.mtx", text)) == Graph.from_edges(n, pairs)
+
+
 
 
 def test_graph_is_immutable():
