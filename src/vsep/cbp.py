@@ -97,10 +97,19 @@ class CbpInstance:
         object.__setattr__(self, "_dense", dense)
 
     def bdot(self, v: np.ndarray) -> np.ndarray:
-        """B @ v."""
-        if self._dense is not None:
+        """B @ v for a vector, or B @ each row of a (rows, n) stack.
+
+        Each row of a stack gets the same bits as the product with that row
+        alone.  The dense copy therefore multiplies the stack as a batch of
+        matrix-vector products: one matrix-matrix product (v @ B) sums in
+        another order and differs in the last bits, which changes
+        tie-breaks in the block LP.
+        """
+        if self._dense is None:
+            return self.B @ v if v.ndim == 1 else (self.B @ v.T).T
+        if v.ndim == 1:
             return self._dense @ v
-        return self.B @ v
+        return (self._dense @ v[:, :, None])[:, :, 0]
 
     def interactions(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Sorted column indices and values of row i of B (diagonal included)."""
@@ -150,6 +159,31 @@ def _point_arrays(inst: CbpInstance, p: Point) -> tuple[np.ndarray, np.ndarray]:
     return p.x, p.y
 
 
+def _stacked_arrays(inst: CbpInstance, p: Point) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of a single point or of a stack, as (rows, n) arrays."""
+    if p.x.ndim == 1:
+        x, y = _point_arrays(inst, p)
+        return x[None], y[None]
+    if p.x.ndim != 2 or p.x.shape != p.y.shape or p.x.shape[1] != inst.n or not len(p.x):
+        raise DimensionMismatchError(
+            f"point has shapes {p.x.shape}/{p.y.shape}, instance needs (rows >= 1, {inst.n})"
+        )
+    return p.x, p.y
+
+
+def _shaped_like(p: Point, x: np.ndarray, y: np.ndarray) -> Point:
+    """The (rows, n) result as a stack, or as one point if p was one."""
+    return Point(x[0], y[0]) if p.x.ndim == 1 else Point(x, y)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a with the same row of b, or with the vector b.
+
+    Each row is summed on its own, so its value does not depend on how many
+    rows the stack has; a BLAS matrix-vector product gives no such promise."""
+    return (a * b).sum(axis=1)
+
+
 def objective(inst: CbpInstance, p: Point, gamma: float) -> float:
     """c.(x + y) - gamma * x.B.y."""
     x, y = _point_arrays(inst, p)
@@ -172,91 +206,67 @@ def feasible(inst: CbpInstance, p: Point, tol: float = EPS) -> bool:
 def solve_block_lp(g: Sequence[float], s: Sequence[float], l: int, u: int) -> np.ndarray:
     """Maximize g.v over 0 <= v <= 1 with l <= s.v <= u.
 
+    ``g`` is one gain vector of shape (n,) or a stack of shape (rows, n);
+    each row is solved on its own and the result has the shape of ``g``.
+
     Greedy on the ratio g_i/s_i, ties broken toward the lower index: take
     positive-gain items until u is hit (cut item set fractionally to land
     exactly on u), then, if the sum is still below l, keep walking down the
     sorted order until it reaches exactly l.  The result is a vertex of the
     polytope with at most one fractional coordinate.
     """
-    g = np.ascontiguousarray(g, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
     s = np.ascontiguousarray(s, dtype=np.float64)
-    if g.shape != s.shape or g.ndim != 1:
+    if s.ndim != 1 or g.ndim not in (1, 2) or g.shape[-1:] != s.shape:
         raise DimensionMismatchError(f"g has shape {g.shape}, s has shape {s.shape}")
     total = float(s.sum())
     if l < 0 or l > u or l > total:
         raise InfeasibleBoundsError(f"bounds l={l} u={u} unreachable with s total {total}")
 
-    n = g.size
-    if n <= 32:
-        return _small_block_lp(g, s, l, u)
-    v = np.zeros(n)
-    order = np.argsort(-(g / s), kind="stable")
+    G = g if g.ndim == 2 else g[None]
+    rows, n = G.shape
+    order = np.argsort(G / -s, axis=1, kind="stable")  # ratio descending, ties by index
     ss = s[order]
-    cums = np.cumsum(ss)
-    npos = int(np.count_nonzero(g > 0))
+    cums = np.zeros((rows, n + 1))  # cums[:, t]: size of the first t items; rises strictly
+    np.cumsum(ss, axis=1, out=cums[:, 1:])
+    npos = (G > 0).sum(axis=1)
 
-    k = int(np.searchsorted(cums[:npos], u, side="right"))
-    v[order[:k]] = 1.0
-    run = float(cums[k - 1]) if k else 0.0
-    if k < npos and run < u:
-        i = order[k]
-        v[i] = (u - run) / float(s[i])
-        run = float(u)
+    # per row: the first `full` items of the order are in, and where `frac`
+    # holds the next one too, at value fval
+    r = np.arange(rows)
+    full = np.minimum((cums[:, 1:] <= u).sum(axis=1), npos)
+    run = cums[r, full]
+    frac = (full < npos) & (run < u)
+    fval = np.zeros(rows)
+    fval[frac] = (u - run[frac]) / ss[frac, full[frac]]
+    run[frac] = u
 
-    if run < l:
+    low = (run < l).nonzero()[0]
+    if low.size:
         # every positive-gain item is already fully in; continue down the order
-        tail = order[npos:]
-        tcums = run + np.cumsum(ss[npos:])
-        j = int(np.searchsorted(tcums, l, side="left"))
-        v[tail[:j]] = 1.0
-        prev = float(tcums[j - 1]) if j else run
-        i = tail[j]
-        v[i] = min((l - prev) / float(s[i]), 1.0)
-    return v
+        t = np.arange(n)
+        p = npos[low]
+        tail = t >= p[:, None]
+        tcums = run[low, None] + np.cumsum(np.where(tail, ss[low], 0.0), axis=1)
+        j = (tail & (tcums < l)).sum(axis=1)
+        full[low] = i = p + j
+        prev = np.where(j > 0, tcums[np.arange(low.size), i - 1], run[low])
+        fval[low] = np.minimum((l - prev) / ss[low, i], 1.0)
+        frac[low] = True
 
-
-def _small_block_lp(g: np.ndarray, s: np.ndarray, l: int, u: int) -> np.ndarray:
-    # same greedy as above; plain lists beat numpy overhead at this size
-    gl = g.tolist()
-    sl = s.tolist()
-    neg_ratio = [-a / b for a, b in zip(gl, sl)]
-    order = sorted(range(len(gl)), key=neg_ratio.__getitem__)  # stable: ties keep low index
-    v = [0.0] * len(gl)
-    run = 0.0
-    pos = len(order)
-    for t, i in enumerate(order):
-        if gl[i] <= 0:
-            pos = t
-            break
-        si = sl[i]
-        if run + si <= u:
-            v[i] = 1.0
-            run += si
-        else:
-            if u > run:
-                v[i] = (u - run) / si
-                run = float(u)
-            pos = t + 1
-            break
-    if run < l:
-        for i in order[pos:]:
-            need = l - run
-            if need <= 0:
-                break
-            si = sl[i]
-            if si <= need:
-                v[i] = 1.0
-                run += si
-            else:
-                v[i] = need / si
-                run = float(l)
-    return np.array(v)
+    # one prefix write per row costs less than a scatter of every item
+    v = np.zeros((rows, n))
+    for row, o, f, fr, fv in zip(v, order, full.tolist(), frac.tolist(), fval.tolist()):
+        row[o[:f]] = 1.0
+        if fr:
+            row[o[f]] = fv
+    return v if g.ndim == 2 else v[0]
 
 
 def refine(
     inst: CbpInstance,
     p: Point,
-    gamma: float,
+    gamma: float | np.ndarray,
     eps: float = EPS,
     step_log: list[float] | None = None,
 ) -> Point:
@@ -270,44 +280,67 @@ def refine(
     The start must lie in the box; a start outside the sum bounds is
     allowed (the first update of each block restores them), in which case
     that block's first step is exempt from the monotonicity check.
+
+    ``p`` may also be a stack, x and y of shape (rows, n), with ``gamma``
+    one value or one per row.  Each row is refined as it would be on its
+    own, to the same bits: a converged row stops changing while the rows
+    still live sweep on.  ``step_log`` records the steps of a single row.
     """
-    x, y = _point_arrays(inst, p)
+    x, y = _stacked_arrays(inst, p)
+    rows = x.shape[0]
+    if step_log is not None and rows != 1:
+        raise ValueError("step_log needs a single point")
     if inst.n and (
         min(x.min(), y.min()) < -eps or max(x.max(), y.max()) > 1 + eps
     ):
         raise ValueError("refine requires a starting point inside the box")
-    x, y = x.copy(), y.copy()
+    gammas = np.empty((rows, 1))
+    gammas[:, 0] = gamma
     c, s = inst.c, inst.s
-    x_in_bounds = inst.la - eps <= float(s @ x) <= inst.ua + eps
-    y_in_bounds = inst.lb - eps <= float(s @ y) <= inst.ub + eps
-    f_prev = float(c @ (x + y) - gamma * (x @ inst.bdot(y)))
+    out_x, out_y = np.empty_like(x), np.empty_like(y)
+    live = np.arange(rows)
+    sx, sy = _rowdot(x, s), _rowdot(y, s)
+    x_in_bounds = (inst.la - eps <= sx) & (sx <= inst.ua + eps)
+    y_in_bounds = (inst.lb - eps <= sy) & (sy <= inst.ub + eps)
+    by = inst.bdot(y)
+    f_prev = _rowdot(x + y, c) - gammas[:, 0] * _rowdot(x, by)
     while True:
-        gx = c - gamma * inst.bdot(y)
+        gx = c - gammas * by
         x = solve_block_lp(gx, s, inst.la, inst.ua)
-        f_x = float(gx @ x + c @ y)
-        if x_in_bounds:
-            _check_step(f_prev, f_x, eps)
-        x_in_bounds = True
+        f_x = _rowdot(gx, x) + _rowdot(y, c)
+        _check_step(f_prev, f_x, eps, x_in_bounds)
         if step_log is not None:
-            step_log.append(f_x)
+            step_log.append(float(f_x[0]))
 
-        gy = c - gamma * inst.bdot(x)
+        gy = c - gammas * inst.bdot(x)
         y = solve_block_lp(gy, s, inst.lb, inst.ub)
-        f_y = float(gy @ y + c @ x)
-        if y_in_bounds:
-            _check_step(f_x, f_y, eps)
-        y_in_bounds = True
+        f_y = _rowdot(gy, y) + _rowdot(x, c)
+        _check_step(f_x, f_y, eps, y_in_bounds)
+        x_in_bounds = y_in_bounds = None
         if step_log is not None:
-            step_log.append(f_y)
+            step_log.append(float(f_y[0]))
 
-        if f_y - f_prev <= eps:
-            return Point(x, y)
+        done = f_y - f_prev <= eps
+        if done.any():
+            out_x[live[done]] = x[done]
+            out_y[live[done]] = y[done]
+            if done.all():
+                break
+            going = ~done
+            live, x, y, gammas, f_y = live[going], x[going], y[going], gammas[going], f_y[going]
         f_prev = f_y
+        by = inst.bdot(y)
+    return _shaped_like(p, out_x, out_y)
 
 
-def _check_step(before: float, after: float, eps: float) -> None:
-    if after < before - eps:
-        raise MonotonicityError(f"objective fell from {before!r} to {after!r}")
+def _check_step(before: np.ndarray, after: np.ndarray, eps: float, mask: np.ndarray | None) -> None:
+    """Raise unless after >= before - eps on every row, or on the rows in mask."""
+    fell = after < before - eps
+    if mask is not None:
+        fell &= mask
+    if fell.any():
+        i = int(np.argmax(fell))
+        raise MonotonicityError(f"objective fell from {before[i]!r} to {after[i]!r}")
 
 
 def round_to_binary(inst: CbpInstance, p: Point) -> Point:
@@ -512,33 +545,49 @@ def escape(
     point; a full pass down to gamma = 0 without improvement terminates.
     The objective at gamma0 never decreases.
 
-    When given, ``step_log`` collects one (gamma, per-step objectives) pair
-    per inner refinement.
+    ``p`` may be a stack of points, as for ``refine``: each row keeps its
+    own k, current point and objective, and gets the result it would get
+    on its own.  ``stats["escapes"]`` grows by the accepted improvements
+    of all rows.  When given, ``step_log`` collects one (gamma, per-step
+    objectives) pair per inner refinement of a single point.
     """
     K = int(gamma_steps)
-    current = p
-    f_curr = objective(inst, current, inst.gamma0)
+    x, y = _stacked_arrays(inst, p)
+    rows = x.shape[0]
+    if step_log is not None and rows != 1:
+        raise ValueError("step_log needs a single point")
+    gamma0 = inst.gamma0
+    x, y = x.copy(), y.copy()
+    f_curr = _objectives(inst, x, y, gamma0)
     escapes = 0
-    k = 1
-    while k <= K:
-        gamma_k = inst.gamma0 * (1.0 - k / K)
+    k = np.ones(rows, dtype=np.int64)
+    while True:
+        live = np.flatnonzero(k <= K)
+        if not live.size:
+            break
+        gamma_k = gamma0 * (1.0 - k[live] / K)
         probe_log: list[float] | None = [] if step_log is not None else None
-        probe = refine(inst, current, gamma_k, eps=eps, step_log=probe_log)
+        probe = refine(inst, Point(x[live], y[live]), gamma_k, eps=eps, step_log=probe_log)
         back_log: list[float] | None = [] if step_log is not None else None
-        back = refine(inst, probe, inst.gamma0, eps=eps, step_log=back_log)
+        back = refine(inst, probe, gamma0, eps=eps, step_log=back_log)
         if step_log is not None:
-            step_log.append((gamma_k, probe_log))
-            step_log.append((inst.gamma0, back_log))
-        f_back = objective(inst, back, inst.gamma0)
-        if f_back > f_curr + eps:
-            current, f_curr = back, f_back
-            escapes += 1
-            k = 1
-        else:
-            k += 1
+            step_log.append((float(gamma_k[0]), probe_log))
+            step_log.append((gamma0, back_log))
+        f_back = _objectives(inst, back.x, back.y, gamma0)
+        better = f_back > f_curr[live] + eps
+        won = live[better]
+        x[won], y[won], f_curr[won] = back.x[better], back.y[better], f_back[better]
+        escapes += int(better.sum())
+        k[won] = 1
+        k[live[~better]] += 1
     if stats is not None:
         stats["escapes"] = stats.get("escapes", 0) + escapes
-    return current
+    return _shaped_like(p, x, y)
+
+
+def _objectives(inst: CbpInstance, x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
+    """c.(x + y) - gamma * x.B.y for each row of a stack."""
+    return _rowdot(x + y, inst.c) - gamma * _rowdot(x, inst.bdot(y))
 
 
 def partition_violations(

@@ -35,7 +35,10 @@ def _load_graph(path: str, fmt: str | None) -> Graph:
             fmt = "metis"
         else:
             raise ParseError(f"cannot infer format from {p.suffix!r}; pass --format")
-    return load_matrix_market(p) if fmt == "mtx" else load_metis(p)
+    try:
+        return load_matrix_market(p) if fmt == "mtx" else load_metis(p)
+    except IndexError as exc:  # a MatrixMarket entry outside the declared size
+        raise ParseError(str(exc)) from exc
 
 
 def _params(args: argparse.Namespace) -> SolveParams:

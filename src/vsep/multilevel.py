@@ -273,9 +273,13 @@ def solve_coarsest(
 ) -> Point:
     """Best binary orthogonal point over seeded multistarts.
 
-    Each start refines a random feasible binary point, escapes, and rounds;
-    the best objective at gamma0 wins (first found on ties).  For n <= 12
-    an exhaustive search backstops the multistarts and its solution is used
+    Each start is a random feasible binary point drawn from its own seed
+    ``(params.seed, start)``.  All starts are refined and escaped together,
+    as one (multistarts, n) stack in which every row gets the result it
+    would get alone; then each is rounded, and the best objective at gamma0
+    wins (first start on ties; a start whose rounding fails is skipped).
+    ``stats["escapes"]`` sums the escapes of all starts.  For n <= 12 an
+    exhaustive search backstops the multistarts and its solution is used
     when strictly better.  Raises InfeasibleError when no binary point can
     satisfy the bounds.
     """
@@ -284,20 +288,24 @@ def solve_coarsest(
     ):
         raise InfeasibleError("no binary point satisfies the sum bounds")
 
+    starts = [
+        _random_binary_feasible(inst, np.random.default_rng((params.seed, start)))
+        for start in range(params.multistarts)
+    ]
+    p = Point(np.stack([q.x for q in starts]), np.stack([q.y for q in starts]))
+    p = refine(inst, p, inst.gamma0)
+    p = escape(inst, p, gamma_steps=params.gamma_steps, stats=stats)
+
     best: Point | None = None
     best_f = -math.inf
-    for start in range(params.multistarts):
-        rng = np.random.default_rng((params.seed, start))
-        p = _random_binary_feasible(inst, rng)
+    for x, y in zip(p.x, p.y):
         try:
-            p = refine(inst, p, inst.gamma0)
-            p = escape(inst, p, gamma_steps=params.gamma_steps, stats=stats)
-            p = round_to_binary(inst, p)
+            q = round_to_binary(inst, Point(x, y))
         except DegenerateRepairError:
             continue
-        f = objective(inst, p, inst.gamma0)
+        f = objective(inst, q, inst.gamma0)
         if f > best_f + EPS:
-            best, best_f = p, f
+            best, best_f = q, f
 
     # exhaustive backstop; also the tie-breaker of last resort when every
     # start failed to round and the instance is still small enough

@@ -139,6 +139,89 @@ def test_lp_matches_oracle_and_vertex_form():
         assert np.count_nonzero((v > EPS) & (v < 1 - EPS)) <= 1
 
 
+def _block_lp_loop(g, s, l, u):
+    """Item-by-item reference of the block-LP greedy for one gain vector."""
+    order = sorted(range(len(g)), key=lambda i: -g[i] / s[i])  # stable: ties keep low index
+    v = [0.0] * len(g)
+    run = 0.0
+    pos = len(order)
+    for t, i in enumerate(order):
+        if g[i] <= 0:
+            pos = t
+            break
+        if run + s[i] <= u:
+            v[i] = 1.0
+            run += s[i]
+        else:
+            if u > run:
+                v[i] = (u - run) / s[i]
+                run = float(u)
+            pos = t + 1
+            break
+    for i in order[pos:]:
+        need = l - run
+        if need <= 0:
+            break
+        if s[i] <= need:
+            v[i] = 1.0
+            run += s[i]
+        else:
+            v[i] = need / s[i]
+            run = float(l)
+    return np.array(v)
+
+
+def _random_block_lps(rng, count):
+    """Gain stacks with ties, zeros and negatives over integer sizes, with
+    lower bounds that force the tail walk, and l == u."""
+    for trial in range(count):
+        n = int(rng.integers(1, 90))
+        rows = int(rng.integers(1, 8))
+        s = rng.integers(1, 4, size=n).astype(float) if trial % 2 else np.ones(n)
+        G = rng.integers(-3, 4, size=(rows, n)) * rng.choice([1.0, 0.5, 1 / 3])
+        if trial % 3 == 0:
+            G += rng.normal(size=(rows, n))
+        total = int(s.sum())
+        kind = trial % 4
+        if kind == 0:
+            l, u = 0, int(rng.integers(0, total + 1))
+        elif kind == 1:
+            l = int(rng.integers(total // 2, total + 1))  # raised l: the walk goes past the positives
+            u = int(rng.integers(l, total + 1))
+        elif kind == 2:
+            l = u = int(rng.integers(0, total + 1))
+        else:
+            l = int(rng.integers(0, total + 1))
+            u = int(rng.integers(l, total + 1))
+        yield G, s, l, u
+
+
+def test_lp_matches_item_loop():
+    rng = np.random.default_rng(41)
+    for G, s, l, u in _random_block_lps(rng, 300):
+        for g in G:
+            v = solve_block_lp(g, s, l, u)
+            assert v.tobytes() == _block_lp_loop(g.tolist(), s.tolist(), l, u).tobytes()
+
+
+def test_lp_stack_equals_rows():
+    rng = np.random.default_rng(43)
+    for G, s, l, u in _random_block_lps(rng, 300):
+        V = solve_block_lp(G, s, l, u)
+        assert V.shape == G.shape
+        assert np.array_equal(V, np.stack([solve_block_lp(g, s, l, u) for g in G]))
+
+
+def test_lp_stack_shapes():
+    s = np.ones(3)
+    assert solve_block_lp(np.zeros((0, 3)), s, 0, 1).shape == (0, 3)
+    assert solve_block_lp(np.zeros((2, 0)), [], 0, 0).shape == (2, 0)
+    with pytest.raises(DimensionMismatchError):
+        solve_block_lp(np.zeros((2, 4)), s, 0, 1)
+    with pytest.raises(DimensionMismatchError):
+        solve_block_lp(np.zeros((2, 2, 3)), s, 0, 1)
+
+
 # --------------------------------------------------------------------- refine
 
 
@@ -178,6 +261,100 @@ def test_refine_monotone_on_random_instances():
             log: list = []
             refine(inst, p, gamma, step_log=log)
             assert all(b - a >= -EPS for a, b in zip(log, log[1:]))
+
+
+def _costed_instance(rng, n):
+    """gnp instance with costs 1..5, sizes 1..3 and a random lower bound."""
+    base = gnp(n, float(rng.choice([0.05, 0.15, 0.4])), seed=int(rng.integers(1 << 30)))
+    g = Graph.from_edges(
+        n, list(base.edges()), vertex_cost=rng.integers(1, 6, size=n), vertex_size=rng.integers(1, 4, size=n)
+    )
+    ua = int(0.503 * int(g.vertex_size.sum()))
+    lb = int(rng.integers(0, ua // 2 + 1))
+    return instance_from_graph(g, lb, ua, lb, ua)
+
+
+def _stack(points):
+    return Point(np.stack([q.x for q in points]), np.stack([q.y for q in points]))
+
+
+def test_refine_and_escape_stack_equal_rows():
+    rng = np.random.default_rng(47)
+    for trial in range(40):
+        # dense copy of B below 129 vertices, sparse products above
+        n = int(rng.integers(2, 60)) if trial % 4 else int(rng.integers(129, 200))
+        inst = _costed_instance(rng, n) if trial % 2 else default_instance(gnp(n, 0.2, seed=trial))
+        rows = int(rng.integers(1, 7))
+        starts = [random_fractional_point(inst, rng) for _ in range(rows)]
+        gammas = rng.uniform(0, inst.gamma0, size=rows)
+
+        fixed = refine(inst, _stack(starts), gammas)
+        assert fixed.x.shape == (rows, n)
+        one_by_one = [refine(inst, q, gamma) for q, gamma in zip(starts, gammas)]
+        assert np.array_equal(fixed.x, np.stack([q.x for q in one_by_one]))
+        assert np.array_equal(fixed.y, np.stack([q.y for q in one_by_one]))
+        scalar = refine(inst, _stack(starts), float(gammas[0]))
+        assert np.array_equal(scalar.x[0], one_by_one[0].x)
+
+        stats: dict = {}
+        out = escape(inst, fixed, stats=stats)
+        row_stats: dict = {}
+        rows_out = [escape(inst, q, stats=row_stats) for q in one_by_one]
+        assert np.array_equal(out.x, np.stack([q.x for q in rows_out]))
+        assert np.array_equal(out.y, np.stack([q.y for q in rows_out]))
+        assert stats.get("escapes", 0) == row_stats.get("escapes", 0)
+
+
+def _escape_loop(inst, p, gamma_steps=10):
+    """Point-by-point reference of escape: returns the point and its escapes."""
+    current, f_curr = p, objective(inst, p, inst.gamma0)
+    escapes, k = 0, 1
+    while k <= gamma_steps:
+        probe = refine(inst, current, inst.gamma0 * (1.0 - k / gamma_steps))
+        back = refine(inst, probe, inst.gamma0)
+        f_back = objective(inst, back, inst.gamma0)
+        if f_back > f_curr + EPS:
+            current, f_curr, escapes, k = back, f_back, escapes + 1, 1
+        else:
+            k += 1
+    return current, escapes
+
+
+def test_escape_stack_matches_point_loop():
+    rng = np.random.default_rng(53)
+    for trial in range(25):
+        inst = _costed_instance(rng, int(rng.integers(8, 50)))
+        rows = int(rng.integers(1, 6))
+        starts = [refine(inst, random_fractional_point(inst, rng), inst.gamma0) for _ in range(rows)]
+        steps = int(rng.integers(2, 11))
+        stats: dict = {}
+        out = escape(inst, _stack(starts), gamma_steps=steps, stats=stats)
+        ref = [_escape_loop(inst, q, steps) for q in starts]
+        assert np.array_equal(out.x, np.stack([q.x for q, _ in ref]))
+        assert np.array_equal(out.y, np.stack([q.y for q, _ in ref]))
+        assert stats["escapes"] == sum(e for _, e in ref)
+
+
+def test_bdot_stack_rows_equal_vector_products():
+    rng = np.random.default_rng(59)
+    for n in (1, 7, 48, 128, 129, 300):  # dense copy up to 128 vertices
+        inst = _costed_instance(rng, n)
+        V = rng.random((int(rng.integers(1, 9)), n))
+        V[::2] = np.round(V[::2])
+        V[::2, int(rng.integers(n))] = rng.random()  # binary but one fractional entry
+        BV = inst.bdot(V)
+        for row, v in zip(BV, V):
+            assert row.tobytes() == inst.bdot(v.copy()).tobytes()
+
+
+def test_refine_stack_rejects_bad_shapes():
+    inst = p3_instance()
+    with pytest.raises(DimensionMismatchError):
+        refine(inst, Point(np.zeros((2, 3)), np.zeros((2, 4))), 1.0)
+    with pytest.raises(DimensionMismatchError):
+        refine(inst, Point(np.zeros((0, 3)), np.zeros((0, 3))), 1.0)
+    with pytest.raises(ValueError):
+        refine(inst, Point(np.zeros((2, 3)), np.zeros((2, 3))), 1.0, step_log=[])
 
 
 # ------------------------------------------------------------ round_to_binary

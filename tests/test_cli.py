@@ -74,6 +74,14 @@ def test_solve_parse_error_exit_2(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_entry_outside_declared_size_exit_2(tmp_path, capsys, command):
+    f = write(tmp_path, "bad.mtx", "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 1\n5 1\n")
+    code, _, err = run(capsys, command, str(f))
+    assert code == 2
+    assert err == "error: entry (5, 1) out of bounds for declared size 3\n"
+
+
 def test_solve_missing_file_exit_2(tmp_path, capsys):
     code, _, _ = run(capsys, "solve", str(tmp_path / "nope.graph"))
     assert code == 2

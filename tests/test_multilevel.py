@@ -13,10 +13,14 @@ from conftest import (
     random_fractional_point,
 )
 from vsep.cbp import (
+    DegenerateRepairError,
     Point,
+    escape,
     instance_from_graph,
     objective,
     partition_violations,
+    refine,
+    round_to_binary,
 )
 from vsep.graphs import Graph
 from vsep.multilevel import (
@@ -24,6 +28,7 @@ from vsep.multilevel import (
     Level,
     Matching,
     SolveParams,
+    _random_binary_feasible,
     ascending_degree_order,
     build_hierarchy,
     contract,
@@ -267,6 +272,49 @@ def test_solve_coarsest_unreachable_sums():
     inst = instance_from_graph(g, 1, 1, 1, 1)
     with pytest.raises(InfeasibleError):
         solve_coarsest(inst, SolveParams())
+
+
+def _multistart_loop(inst, params, stats):
+    """Start-by-start reference of the multistart search in solve_coarsest
+    (without its exhaustive backstop for n <= 16)."""
+    best, best_f = None, -math.inf
+    for start in range(params.multistarts):
+        p = _random_binary_feasible(inst, np.random.default_rng((params.seed, start)))
+        try:
+            p = refine(inst, p, inst.gamma0)
+            p = escape(inst, p, gamma_steps=params.gamma_steps, stats=stats)
+            p = round_to_binary(inst, p)
+        except DegenerateRepairError:
+            continue
+        f = objective(inst, p, inst.gamma0)
+        if f > best_f + EPS:
+            best, best_f = p, f
+    return best
+
+
+def test_solve_coarsest_matches_start_loop():
+    rng = np.random.default_rng(61)
+    for trial in range(30):
+        n = int(rng.integers(40, 160))
+        base = gnp(n, float(rng.choice([0.03, 0.06, 0.15])), seed=7000 + trial)
+        g = base
+        if trial % 2:  # costs 1..5
+            g = Graph.from_edges(n, list(base.edges()), vertex_cost=rng.integers(1, 6, size=n))
+        la = lb = int(rng.choice([1, 2, n // 6, n // 4]))
+        params = SolveParams(la=la, lb=lb, coarsest_size=int(rng.integers(17, 40)), multistarts=6, seed=trial)
+        inst = build_hierarchy(g, params).levels[-1].inst  # aggregated: sizes > 1
+        if inst.n <= 16:
+            continue
+        ref_stats: dict = {}
+        ref = _multistart_loop(inst, params, ref_stats)
+        stats: dict = {}
+        if ref is None:
+            with pytest.raises(InfeasibleError):
+                solve_coarsest(inst, params, stats=stats)
+        else:
+            p = solve_coarsest(inst, params, stats=stats)
+            assert np.array_equal(p.x, ref.x) and np.array_equal(p.y, ref.y)
+        assert stats == ref_stats
 
 
 # -------------------------------------------------------------------- solve
