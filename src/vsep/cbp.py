@@ -128,9 +128,6 @@ class Point:
         self.x = np.asarray(self.x, dtype=np.float64)
         self.y = np.asarray(self.y, dtype=np.float64)
 
-    def copy(self) -> "Point":
-        return Point(self.x.copy(), self.y.copy())
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -190,16 +187,16 @@ def objective(inst: CbpInstance, p: Point, gamma: float) -> float:
     return float(inst.c @ (x + y) - gamma * (x @ inst.bdot(y)))
 
 
-def feasible(inst: CbpInstance, p: Point, tol: float = EPS) -> bool:
-    """Box bounds plus both sum constraints; x/y overlap is allowed."""
+def feasible(inst: CbpInstance, p: Point) -> bool:
+    """Box bounds plus both sum constraints, to within EPS; x/y overlap is allowed."""
     x, y = _point_arrays(inst, p)
-    if np.any(x < -tol) or np.any(x > 1 + tol) or np.any(y < -tol) or np.any(y > 1 + tol):
+    if np.any(x < -EPS) or np.any(x > 1 + EPS) or np.any(y < -EPS) or np.any(y > 1 + EPS):
         return False
     sx = float(inst.s @ x)
     sy = float(inst.s @ y)
     return (
-        inst.la - tol <= sx <= inst.ua + tol
-        and inst.lb - tol <= sy <= inst.ub + tol
+        inst.la - EPS <= sx <= inst.ua + EPS
+        and inst.lb - EPS <= sy <= inst.ub + EPS
     )
 
 
@@ -267,10 +264,9 @@ def refine(
     inst: CbpInstance,
     p: Point,
     gamma: float | np.ndarray,
-    eps: float = EPS,
     step_log: list[float] | None = None,
 ) -> Point:
-    """Alternate exact block-LP updates of x and y until a full sweep gains <= eps.
+    """Alternate exact block-LP updates of x and y until a full sweep gains <= EPS.
 
     Every update maximizes the objective over its block, so the objective
     is nondecreasing at each step; this is verified and a MonotonicityError
@@ -291,7 +287,7 @@ def refine(
     if step_log is not None and rows != 1:
         raise ValueError("step_log needs a single point")
     if inst.n and (
-        min(x.min(), y.min()) < -eps or max(x.max(), y.max()) > 1 + eps
+        min(x.min(), y.min()) < -EPS or max(x.max(), y.max()) > 1 + EPS
     ):
         raise ValueError("refine requires a starting point inside the box")
     gammas = np.empty((rows, 1))
@@ -300,27 +296,27 @@ def refine(
     out_x, out_y = np.empty_like(x), np.empty_like(y)
     live = np.arange(rows)
     sx, sy = _rowdot(x, s), _rowdot(y, s)
-    x_in_bounds = (inst.la - eps <= sx) & (sx <= inst.ua + eps)
-    y_in_bounds = (inst.lb - eps <= sy) & (sy <= inst.ub + eps)
+    x_in_bounds = (inst.la - EPS <= sx) & (sx <= inst.ua + EPS)
+    y_in_bounds = (inst.lb - EPS <= sy) & (sy <= inst.ub + EPS)
     by = inst.bdot(y)
     f_prev = _rowdot(x + y, c) - gammas[:, 0] * _rowdot(x, by)
     while True:
         gx = c - gammas * by
         x = solve_block_lp(gx, s, inst.la, inst.ua)
         f_x = _rowdot(gx, x) + _rowdot(y, c)
-        _check_step(f_prev, f_x, eps, x_in_bounds)
+        _check_step(f_prev, f_x, x_in_bounds)
         if step_log is not None:
             step_log.append(float(f_x[0]))
 
         gy = c - gammas * inst.bdot(x)
         y = solve_block_lp(gy, s, inst.lb, inst.ub)
         f_y = _rowdot(gy, y) + _rowdot(x, c)
-        _check_step(f_x, f_y, eps, y_in_bounds)
+        _check_step(f_x, f_y, y_in_bounds)
         x_in_bounds = y_in_bounds = None
         if step_log is not None:
             step_log.append(float(f_y[0]))
 
-        done = f_y - f_prev <= eps
+        done = f_y - f_prev <= EPS
         if done.any():
             out_x[live[done]] = x[done]
             out_y[live[done]] = y[done]
@@ -333,9 +329,9 @@ def refine(
     return _shaped_like(p, out_x, out_y)
 
 
-def _check_step(before: np.ndarray, after: np.ndarray, eps: float, mask: np.ndarray | None) -> None:
-    """Raise unless after >= before - eps on every row, or on the rows in mask."""
-    fell = after < before - eps
+def _check_step(before: np.ndarray, after: np.ndarray, mask: np.ndarray | None) -> None:
+    """Raise unless after >= before - EPS on every row, or on the rows in mask."""
+    fell = after < before - EPS
     if mask is not None:
         fell &= mask
     if fell.any():
@@ -370,9 +366,9 @@ def round_to_binary(inst: CbpInstance, p: Point) -> Point:
     return Point(x, y)
 
 
-def _snap(v: np.ndarray, tol: float = EPS) -> None:
-    v[np.abs(v) <= tol] = 0.0
-    v[np.abs(v - 1.0) <= tol] = 1.0
+def _snap(v: np.ndarray) -> None:
+    v[np.abs(v) <= EPS] = 0.0
+    v[np.abs(v - 1.0) <= EPS] = 1.0
 
 
 def _fractional(v: np.ndarray) -> list[int]:
@@ -533,7 +529,6 @@ def escape(
     inst: CbpInstance,
     p: Point,
     gamma_steps: int = 10,
-    eps: float = EPS,
     stats: dict | None = None,
     step_log: list[tuple[float, list[float]]] | None = None,
 ) -> Point:
@@ -567,14 +562,14 @@ def escape(
             break
         gamma_k = gamma0 * (1.0 - k[live] / K)
         probe_log: list[float] | None = [] if step_log is not None else None
-        probe = refine(inst, Point(x[live], y[live]), gamma_k, eps=eps, step_log=probe_log)
+        probe = refine(inst, Point(x[live], y[live]), gamma_k, step_log=probe_log)
         back_log: list[float] | None = [] if step_log is not None else None
-        back = refine(inst, probe, gamma0, eps=eps, step_log=back_log)
+        back = refine(inst, probe, gamma0, step_log=back_log)
         if step_log is not None:
             step_log.append((float(gamma_k[0]), probe_log))
             step_log.append((gamma0, back_log))
         f_back = _objectives(inst, back.x, back.y, gamma0)
-        better = f_back > f_curr[live] + eps
+        better = f_back > f_curr[live] + EPS
         won = live[better]
         x[won], y[won], f_curr[won] = back.x[better], back.y[better], f_back[better]
         escapes += int(better.sum())

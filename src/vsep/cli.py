@@ -7,6 +7,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from .cbp import (
@@ -108,17 +109,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "size_b": len(part.b),
         "size_s": len(part.s),
         "separator": [v + 1 for v in part.s],
-        "trace": [
-            {
-                "level": t.level,
-                "n": t.n,
-                "objective_before": t.objective_before,
-                "objective_after": t.objective_after,
-                "escapes": t.escapes,
-                "separator_weight": t.separator_weight,
-            }
-            for t in trace
-        ],
+        "trace": [asdict(t) for t in trace],
         "wall_time_sec": round(wall, 6),
     }
     _emit(report, args.output)
@@ -177,7 +168,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         wall = time.perf_counter() - start
         problems = partition_violations(g, part, *params.bounds(g.n))
         sparsity = 2 * g.m / (g.n * (g.n - 1)) if g.n > 1 else 0.0
-        ratio = part.separator_weight / ref_sep if ref_sep else math.inf
+        if ref_sep:
+            ratio = part.separator_weight / ref_sep
+        else:  # a zero reference is matched only by a zero separator
+            ratio = math.inf if part.separator_weight else 1.0
         ok = not problems and g.n == expected_n and ratio <= threshold
         all_ok &= ok
         status = "ok" if ok else ("INVALID" if problems or g.n != expected_n else "ABOVE-THRESHOLD")

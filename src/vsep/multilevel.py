@@ -3,15 +3,19 @@
 A level is its bilinear program (``CbpInstance``) plus ``cmap``, the
 array sending each finer-level vertex to its aggregate.  Coarsening pairs
 each vertex with its most strongly coupled unmatched neighbor, read off
-the off-diagonal of B, and contracts the pairs: with P the 0/1 aggregation
-matrix, B_c = P^T B P, c_c = P^T c and s_c = P^T s.  Uncoarsening copies
-aggregate values to their members (x = x_c[cmap]), so every objective
-value and sum constraint is preserved exactly across levels.
+the off-diagonal of B, into a ``mate`` array as METIS stores a matching
+(``mate[u]`` is u's partner, or u itself when u stays single), and
+contracts the pairs: with P the 0/1 aggregation matrix, B_c = P^T B P,
+c_c = P^T c and s_c = P^T s.  Uncoarsening copies aggregate values to
+their members (x = x_c[cmap]), so every objective value and sum
+constraint is preserved exactly across levels.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +38,9 @@ from .graphs import Graph, validate
 from .oracle import brute_force_vsp
 
 
+_MAX_LEVELS = 64  # build_hierarchy stops here even if matching still shrinks
+
+
 class InfeasibleError(RuntimeError):
     """No partition can satisfy the size bounds."""
 
@@ -49,7 +56,6 @@ class SolveParams:
     gamma_steps: int = 10
     multistarts: int = 20
     seed: int = 0
-    max_levels: int = 64
 
     def __post_init__(self):
         if not 0 < self.ub_fraction <= 1:
@@ -67,14 +73,6 @@ class SolveParams:
         """Side-size bounds (la, ua, lb, ub) for an n-vertex graph."""
         ua = math.floor(self.ub_fraction * n)
         return self.la, ua, self.lb, ua
-
-
-@dataclass(frozen=True)
-class Matching:
-    """Disjoint matched pairs plus the vertices left single."""
-
-    pairs: tuple[tuple[int, int], ...]
-    singletons: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,53 +107,52 @@ def ascending_degree_order(B: sp.csr_array) -> np.ndarray:
     return np.argsort(np.diff(B.indptr), kind="stable")
 
 
-def heavy_edge_matching(B: sp.csr_array, order: np.ndarray) -> Matching:
+def heavy_edge_matching(B: sp.csr_array, order: np.ndarray) -> np.ndarray:
     """Visit vertices in the given order, pairing each unmatched vertex with
     its unmatched neighbor of maximum weight in B's off-diagonal (ties
-    toward the lower index).  Vertices with no unmatched neighbor stay
-    single."""
+    toward the lower index).
+
+    Returns ``mate``: ``mate[u]`` is u's partner, or u itself when u has no
+    unmatched neighbor and stays single."""
     indptr, indices, data = B.indptr.tolist(), B.indices.tolist(), B.data.tolist()
-    mate = [-1] * B.shape[0]
-    pairs: list[tuple[int, int]] = []
+    mate = list(range(B.shape[0]))
     for u in map(int, order):
-        if mate[u] >= 0:
+        if mate[u] != u:
             continue
-        best = -1
+        best = u
         best_w = 0
         for k in range(indptr[u], indptr[u + 1]):
             v = indices[k]
-            if v != u and mate[v] < 0 and data[k] > best_w:
+            if v != u and mate[v] == v and data[k] > best_w:
                 best, best_w = v, data[k]
-        if best >= 0:
-            mate[u] = best
-            mate[best] = u
-            pairs.append((u, best))
-    singles = tuple(v for v, w in enumerate(mate) if w < 0)
-    return Matching(tuple(pairs), singles)
+        mate[u] = best  # best == u: u stays single
+        mate[best] = u
+    return np.array(mate, dtype=np.int64)
 
 
-def contract(level: Level, m: Matching) -> Level:
-    """Merge each matched pair into one coarse vertex.
+def contract(level: Level, mate: np.ndarray) -> Level:
+    """Merge each pair u, mate[u] into one coarse vertex.
 
-    Coarse vertices are numbered by their smallest member.  Costs and sizes
-    add over a group; parallel edges between two groups merge into one
-    edge carrying the summed weight.  The coarse interaction matrix is the
-    group-wise sum of the fine one, which keeps the bilinear objective of
-    any prolonged point identical to its coarse value.
+    ``mate`` must be an involution on the vertex set (mate[mate[u]] == u)
+    whose pairs are edges of B.  Coarse vertices are numbered by their
+    smallest member.  Costs and sizes add over a group; parallel edges
+    between two groups merge into one edge carrying the summed weight.  The
+    coarse interaction matrix is the group-wise sum of the fine one, which
+    keeps the bilinear objective of any prolonged point identical to its
+    coarse value.
     """
     fine = level.inst
     n = fine.n
-    pairs = np.asarray(m.pairs, dtype=np.int64).reshape(-1, 2)
+    mate = np.asarray(mate)
     ids = np.arange(n)
-    members = np.concatenate([pairs.ravel(), np.asarray(m.singletons, dtype=np.int64)])
-    if not np.array_equal(np.sort(members), ids):
-        raise ValueError("matching does not partition the vertex set")
-    u, v = pairs.T
-    if pairs.size and np.any((u == v) | (fine.B[u, v] == 0)):
+    in_range = mate.shape == (n,) and np.all((mate >= 0) & (mate < n))
+    if not (in_range and np.array_equal(mate[mate], ids)):
+        raise ValueError("mate is not an involution on the vertex set")
+    u = np.flatnonzero(ids < mate)
+    if u.size and np.any(fine.B[u, mate[u]] == 0):
         raise ValueError("a matched pair is not an edge")
 
-    leader = ids.copy()
-    leader[pairs.ravel()] = np.minimum(u, v).repeat(2)
+    leader = np.minimum(ids, mate)
     is_leader = leader == ids
     cmap = (np.cumsum(is_leader) - 1)[leader]
     nc = int(is_leader.sum())
@@ -196,43 +193,39 @@ def build_hierarchy(g: Graph, params: SolveParams) -> Hierarchy:
     if ua < la or ub < lb:
         raise InfeasibleError(f"upper bound {ua} below lower bounds ({la}, {lb})")
     levels = [Level(instance_from_graph(g, la, ua, lb, ub), None)]
-    while len(levels) < params.max_levels:
+    while len(levels) < _MAX_LEVELS:
         cur = levels[-1].inst
         if cur.n <= params.coarsest_size:
             break
-        matching = heavy_edge_matching(cur.B, ascending_degree_order(cur.B))
-        n_next = len(matching.pairs) + len(matching.singletons)
-        if n_next > 0.95 * cur.n:
+        mate = heavy_edge_matching(cur.B, ascending_degree_order(cur.B))
+        if np.count_nonzero(mate >= np.arange(cur.n)) > 0.95 * cur.n:
             break
-        levels.append(contract(levels[-1], matching))
+        levels.append(contract(levels[-1], mate))
     return Hierarchy(tuple(levels))
 
 
-def _reachable_sums(s: np.ndarray) -> int:
+def _subset_sums(s: np.ndarray) -> Iterator[int]:
+    """Bitsets of the subset sums of each prefix of s, the empty one first:
+    bit t of the i-th is set when some subset of s[:i] sums to t.  Only the
+    DP fallback keeps them all; they take O(n * s.sum()) bits."""
     bits = 1
+    yield bits
     for t in s:
         bits |= bits << int(t)
-    return bits
+        yield bits
 
 
-def _sum_reachable(s: np.ndarray, l: int, u: int) -> bool:
-    bits = _reachable_sums(s)
-    total = int(s.sum())
-    hi = min(u, total)
-    if l > hi:
-        return False
-    window = (bits >> l) & ((1 << (hi - l + 1)) - 1)
-    return window != 0
+def _sum_reachable(bits: int, l: int, u: int) -> bool:
+    """Whether the subset-sum bitset has a sum in [l, u]."""
+    window = (1 << max(u - l + 1, 0)) - 1
+    return ((bits >> l) & window) != 0
 
 
 def _dp_binary_side(s: np.ndarray, l: int, u: int) -> np.ndarray:
     """Deterministic fallback: pick the smallest reachable sum in [l, u]."""
     n = s.size
-    prefix = [1]
-    for t in s:
-        prefix.append(prefix[-1] | (prefix[-1] << int(t)))
-    total = int(s.sum())
-    target = next(t for t in range(max(l, 0), min(u, total) + 1) if (prefix[n] >> t) & 1)
+    prefix = list(_subset_sums(s))
+    target = next(t for t in range(max(l, 0), u + 1) if (prefix[n] >> t) & 1)
     v = np.zeros(n)
     for i in range(n - 1, -1, -1):
         if not (prefix[i] >> target) & 1:
@@ -271,20 +264,23 @@ def _random_binary_feasible(inst: CbpInstance, rng: np.random.Generator) -> Poin
 def solve_coarsest(
     inst: CbpInstance, params: SolveParams, stats: dict | None = None
 ) -> Point:
-    """Best binary orthogonal point over seeded multistarts.
+    """Best binary orthogonal point over seeded multistarts: the first step of
+    ``solve``'s walk up the hierarchy.
 
     Each start is a random feasible binary point drawn from its own seed
-    ``(params.seed, start)``.  All starts are refined and escaped together,
-    as one (multistarts, n) stack in which every row gets the result it
-    would get alone; then each is rounded, and the best objective at gamma0
-    wins (first start on ties; a start whose rounding fails is skipped).
-    ``stats["escapes"]`` sums the escapes of all starts.  For n <= 12 an
-    exhaustive search backstops the multistarts and its solution is used
-    when strictly better.  Raises InfeasibleError when no binary point can
-    satisfy the bounds.
+    ``(params.seed, start)``, after one subset-sum bitset of ``s`` has shown
+    that both sides' bounds are reachable at all.  All starts are refined and
+    escaped together, as one (multistarts, n) stack in which every row gets
+    the result it would get alone; then each is rounded, and the best
+    objective at gamma0 wins (first start on ties; a start whose rounding
+    fails is skipped).  ``stats["escapes"]`` sums the escapes of all
+    starts.  For n <= 12 an exhaustive search backstops the multistarts and
+    its solution is used when strictly better.  Raises InfeasibleError when
+    no binary point can satisfy the bounds.
     """
-    if not _sum_reachable(inst.s, inst.la, inst.ua) or not _sum_reachable(
-        inst.s, inst.lb, inst.ub
+    sums = deque(_subset_sums(inst.s), maxlen=1).pop()  # every reachable sum
+    if not _sum_reachable(sums, inst.la, inst.ua) or not _sum_reachable(
+        sums, inst.lb, inst.ub
     ):
         raise InfeasibleError("no binary point satisfies the sum bounds")
 
@@ -342,48 +338,39 @@ def _separator_weight(inst: CbpInstance, p: Point) -> int:
 def solve(g: Graph, params: SolveParams | None = None) -> tuple[Partition, list[LevelTrace]]:
     """Full multilevel pipeline from a graph to a separator partition.
 
-    Coarsens, solves the coarsest level, then per finer level prolongs,
-    refines, escapes, and rounds.  Returns the finest-level partition and
-    one trace record per level (coarsest first).
+    Coarsens, then walks the hierarchy from the coarsest level to the
+    finest: the coarsest level is solved by ``solve_coarsest``, every finer
+    one prolongs the point from the level below, refines, escapes and
+    rounds it.  Returns the finest-level partition and one trace record per
+    level (coarsest first).
     """
     params = params or SolveParams()
     problems = validate(g)
     if problems:
         raise ValueError(f"invalid graph: {problems[:3]}")
-    hier = build_hierarchy(g, params)
-    levels = hier.levels
+    levels = build_hierarchy(g, params).levels
 
-    coarsest = levels[-1]
-    stats: dict = {}
-    p = solve_coarsest(coarsest.inst, params, stats=stats)
-    trace = [
-        LevelTrace(
-            level=len(levels) - 1,
-            n=coarsest.inst.n,
-            objective_before=None,
-            objective_after=objective(coarsest.inst, p, coarsest.inst.gamma0),
-            escapes=stats.get("escapes", 0),
-            separator_weight=_separator_weight(coarsest.inst, p),
-        )
-    ]
-
-    for li in range(len(levels) - 2, -1, -1):
-        fine = levels[li]
-        p = prolong(levels[li + 1], p)
-        f_before = objective(fine.inst, p, fine.inst.gamma0)
-        stats = {}
-        p = refine(fine.inst, p, fine.inst.gamma0)
-        p = escape(fine.inst, p, gamma_steps=params.gamma_steps, stats=stats)
-        p = round_to_binary(fine.inst, p)
+    trace: list[LevelTrace] = []
+    for li in range(len(levels) - 1, -1, -1):
+        inst = levels[li].inst
+        stats: dict = {}
+        if li == len(levels) - 1:
+            f_before = None
+            p = solve_coarsest(inst, params, stats=stats)
+        else:
+            p = prolong(levels[li + 1], p)
+            f_before = objective(inst, p, inst.gamma0)
+            p = refine(inst, p, inst.gamma0)
+            p = escape(inst, p, gamma_steps=params.gamma_steps, stats=stats)
+            p = round_to_binary(inst, p)
         trace.append(
             LevelTrace(
                 level=li,
-                n=fine.inst.n,
+                n=inst.n,
                 objective_before=f_before,
-                objective_after=objective(fine.inst, p, fine.inst.gamma0),
+                objective_after=objective(inst, p, inst.gamma0),
                 escapes=stats.get("escapes", 0),
-                separator_weight=_separator_weight(fine.inst, p),
+                separator_weight=_separator_weight(inst, p),
             )
         )
-
     return extract_partition(levels[0].inst, p), trace

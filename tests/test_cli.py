@@ -196,6 +196,23 @@ def test_bench_threshold_failure(tmp_path, capsys):
     assert "ABOVE-THRESHOLD" in out
 
 
+def test_bench_zero_reference_met_by_zero_separator(tmp_path, capsys):
+    write(tmp_path, "e4.graph", "4 0\n\n\n\n\n")
+    write(tmp_path, "p5.graph", P5_METIS)
+    manifest = write(tmp_path, "m.txt", "e4 e4.graph 4 0 1.5\n")
+    code, out, _ = run(capsys, "bench", str(manifest))
+    assert code == 0
+    fields = [ln for ln in out.splitlines() if ln.startswith("e4")][0].split()
+    assert fields[3:6] == ["0", "0", "1.00"]  # |S|, ref, ratio
+    assert fields[-1] == "ok"
+
+    manifest = write(tmp_path, "m.txt", "p5 p5.graph 5 0 1.5\n")  # weight 1 against 0
+    code, out, _ = run(capsys, "bench", str(manifest))
+    assert code == 1
+    row = [ln for ln in out.splitlines() if ln.startswith("p5")][0]
+    assert " inf " in row and "ABOVE-THRESHOLD" in row
+
+
 def test_bench_dimension_mismatch_is_invalid(tmp_path, capsys):
     write(tmp_path, "p5.graph", P5_METIS)
     manifest = write(tmp_path, "m.txt", "p5 p5.graph 99 1 1.5\n")

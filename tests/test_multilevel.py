@@ -26,9 +26,11 @@ from vsep.graphs import Graph
 from vsep.multilevel import (
     InfeasibleError,
     Level,
-    Matching,
     SolveParams,
+    _dp_binary_side,
     _random_binary_feasible,
+    _subset_sums,
+    _sum_reachable,
     ascending_degree_order,
     build_hierarchy,
     contract,
@@ -56,27 +58,25 @@ def matrix(g):
 
 
 def test_matching_p3():
-    m = heavy_edge_matching(matrix(path_graph(3)), np.array([0, 1, 2]))
-    assert m.pairs == ((0, 1),)
-    assert m.singletons == (2,)
+    mate = heavy_edge_matching(matrix(path_graph(3)), np.array([0, 1, 2]))
+    assert mate.tolist() == [1, 0, 2]
+    assert mate.dtype == np.int64
 
 
 def test_matching_c4_tie_picks_lower_index():
-    m = heavy_edge_matching(matrix(cycle_graph(4)), np.arange(4))
-    assert m.pairs == ((0, 1), (2, 3))
-    assert m.singletons == ()
+    mate = heavy_edge_matching(matrix(cycle_graph(4)), np.arange(4))
+    assert mate.tolist() == [1, 0, 3, 2]
 
 
 def test_matching_edgeless():
-    m = heavy_edge_matching(matrix(empty_graph(3)), np.arange(3))
-    assert m.pairs == ()
-    assert m.singletons == (0, 1, 2)
+    mate = heavy_edge_matching(matrix(empty_graph(3)), np.arange(3))
+    assert mate.tolist() == [0, 1, 2]
 
 
 def test_matching_prefers_heavier_edge():
     g = Graph.from_edges(3, [(0, 1, 1), (0, 2, 5)])
-    m = heavy_edge_matching(matrix(g), np.array([0, 1, 2]))
-    assert m.pairs == ((0, 2),)
+    mate = heavy_edge_matching(matrix(g), np.array([0, 1, 2]))
+    assert mate.tolist() == [2, 1, 0]
 
 
 def test_matching_is_valid_on_random_graphs():
@@ -84,12 +84,58 @@ def test_matching_is_valid_on_random_graphs():
     for trial in range(25):
         g = gnp(int(rng.integers(2, 40)), 0.3, seed=600 + trial)
         B = matrix(g)
-        m = heavy_edge_matching(B, ascending_degree_order(B))
-        seen = sorted([v for p in m.pairs for v in p] + list(m.singletons))
-        assert seen == list(range(g.n))
-        for u, v in m.pairs:
-            nbrs, _ = g.neighbors(u)
-            assert v in nbrs
+        mate = heavy_edge_matching(B, ascending_degree_order(B))
+        assert np.array_equal(mate[mate], np.arange(g.n))
+        for u in range(g.n):
+            if mate[u] != u:
+                nbrs, _ = g.neighbors(u)
+                assert mate[u] in nbrs
+
+
+def _pair_list_matching(B, order):
+    """Reference: the former pair-list heavy-edge matching, as (pairs, singletons)."""
+    indptr, indices, data = B.indptr.tolist(), B.indices.tolist(), B.data.tolist()
+    mate = [-1] * B.shape[0]
+    pairs = []
+    for u in map(int, order):
+        if mate[u] >= 0:
+            continue
+        best = -1
+        best_w = 0
+        for k in range(indptr[u], indptr[u + 1]):
+            v = indices[k]
+            if v != u and mate[v] < 0 and data[k] > best_w:
+                best, best_w = v, data[k]
+        if best >= 0:
+            mate[u] = best
+            mate[best] = u
+            pairs.append((u, best))
+    singles = tuple(v for v, w in enumerate(mate) if w < 0)
+    return tuple(pairs), singles
+
+
+def _mate_from_pairs(n, pairs):
+    mate = np.arange(n)
+    for u, v in pairs:
+        mate[u], mate[v] = v, u
+    return mate
+
+
+def test_matching_matches_pair_list_reference():
+    """The mate array against the former pair list, on finest and weighted
+    coarse levels, in degree order and in random visiting orders."""
+    rng = np.random.default_rng(17)
+    for trial in range(30):
+        g = gnp(int(rng.integers(2, 80)), float(rng.choice([0.05, 0.15, 0.4])), seed=1300 + trial)
+        lvl = finest_level(g)
+        if trial % 3 == 2:  # a contracted level: aggregated sizes and summed edge weights
+            lvl = contract(lvl, heavy_edge_matching(lvl.inst.B, rng.permutation(g.n)))
+        B = lvl.inst.B
+        order = ascending_degree_order(B) if trial % 2 else rng.permutation(lvl.inst.n)
+        pairs, singles = _pair_list_matching(B, order)
+        mate = heavy_edge_matching(B, order)
+        assert mate.tolist() == _mate_from_pairs(lvl.inst.n, pairs).tolist()
+        assert np.flatnonzero(mate == np.arange(lvl.inst.n)).tolist() == list(singles)
 
 
 # ----------------------------------------------------------------- contract
@@ -97,7 +143,7 @@ def test_matching_is_valid_on_random_graphs():
 
 def test_contract_p3():
     lvl = finest_level(path_graph(3), ua=1, ub=1)
-    coarse = contract(lvl, Matching(((0, 1),), (2,)))
+    coarse = contract(lvl, np.array([1, 0, 2]))
     inst = coarse.inst
     assert inst.n == 2
     assert list(inst.c) == [2, 1]
@@ -112,14 +158,14 @@ def test_contract_p3():
 
 def test_contract_identity():
     lvl = finest_level(path_graph(4))
-    coarse = contract(lvl, Matching((), (0, 1, 2, 3)))
+    coarse = contract(lvl, np.arange(4))
     assert np.array_equal(coarse.inst.B.toarray(), lvl.inst.B.toarray())
     assert coarse.cmap.tolist() == list(range(4))
 
 
 def test_contract_k2():
     lvl = finest_level(Graph.from_edges(2, [(0, 1)]), la=0, ua=2, lb=0, ub=2)
-    coarse = contract(lvl, Matching(((0, 1),), ()))
+    coarse = contract(lvl, np.array([1, 0]))
     assert coarse.inst.n == 1
     assert list(coarse.inst.c) == [2]
     assert coarse.inst.B.toarray()[0, 0] == 4
@@ -131,9 +177,9 @@ def test_contract_matches_loop_reference():
     for trial in range(10):
         g = gnp(int(rng.integers(2, 40)), 0.2, seed=900 + trial)
         lvl = finest_level(g)
-        m = heavy_edge_matching(lvl.inst.B, rng.permutation(g.n))
-        coarse = contract(lvl, m)
-        groups = sorted([tuple(sorted(p)) for p in m.pairs] + [(v,) for v in m.singletons])
+        mate = heavy_edge_matching(lvl.inst.B, rng.permutation(g.n))
+        coarse = contract(lvl, mate)
+        groups = sorted({tuple(sorted({u, int(mate[u])})) for u in range(g.n)})
         cmap = np.zeros(g.n, dtype=np.int64)
         for i, grp in enumerate(groups):
             cmap[list(grp)] = i
@@ -150,18 +196,20 @@ def test_contract_matches_loop_reference():
 
 def test_contract_rejects_non_edge_pair():
     lvl = finest_level(path_graph(3))
-    with pytest.raises(ValueError):
-        contract(lvl, Matching(((0, 2),), (1,)))
-    with pytest.raises(ValueError):
-        contract(lvl, Matching(((1, 1),), (0, 2)))
+    with pytest.raises(ValueError, match="not an edge"):
+        contract(lvl, np.array([2, 1, 0]))
 
 
 def test_contract_rejects_non_partition():
     lvl = finest_level(path_graph(3))
-    with pytest.raises(ValueError):
-        contract(lvl, Matching(((0, 1),), ()))  # vertex 2 missing
-    with pytest.raises(ValueError):
-        contract(lvl, Matching(((0, 1),), (1, 2)))  # vertex 1 twice
+    with pytest.raises(ValueError, match="involution"):
+        contract(lvl, np.array([1, 1, 2]))  # 0 -> 1 but 1 -> 1: vertex 1 twice
+    with pytest.raises(ValueError, match="involution"):
+        contract(lvl, np.array([1, 0]))  # vertex 2 missing
+    with pytest.raises(ValueError, match="involution"):
+        contract(lvl, np.array([1, 0, 3]))  # entry out of range
+    with pytest.raises(ValueError, match="involution"):
+        contract(lvl, np.array([1, 0, -1]))
 
 
 def test_contract_carries_bounds():
@@ -176,7 +224,7 @@ def test_contract_carries_bounds():
 
 def test_prolong_p3():
     lvl = finest_level(path_graph(3), ua=2, ub=2)
-    coarse = contract(lvl, Matching(((0, 1),), (2,)))
+    coarse = contract(lvl, np.array([1, 0, 2]))
     fine = prolong(coarse, Point(np.array([1.0, 0.0]), np.array([0.0, 1.0])))
     assert np.array_equal(fine.x, [1, 1, 0])
     assert np.array_equal(fine.y, [0, 0, 1])
@@ -184,14 +232,14 @@ def test_prolong_p3():
 
 def test_prolong_zero():
     lvl = finest_level(path_graph(3))
-    coarse = contract(lvl, Matching(((0, 1),), (2,)))
+    coarse = contract(lvl, np.array([1, 0, 2]))
     fine = prolong(coarse, Point(np.zeros(2), np.zeros(2)))
     assert not fine.x.any() and not fine.y.any()
 
 
 def test_prolong_identity_contraction():
     lvl = finest_level(path_graph(4))
-    coarse = contract(lvl, Matching((), (0, 1, 2, 3)))
+    coarse = contract(lvl, np.arange(4))
     p = Point(np.array([0.3, 1.0, 0.0, 0.6]), np.array([0.0, 0.2, 1.0, 0.1]))
     fine = prolong(coarse, p)
     assert np.array_equal(fine.x, p.x)
@@ -272,6 +320,44 @@ def test_solve_coarsest_unreachable_sums():
     inst = instance_from_graph(g, 1, 1, 1, 1)
     with pytest.raises(InfeasibleError):
         solve_coarsest(inst, SolveParams())
+
+
+def _dp_side_reference(s, l, u):
+    """The former reachability check and DP fallback, each with its own bitset."""
+    bits = 1
+    for t in s:
+        bits |= bits << int(t)
+    hi = min(u, int(s.sum()))
+    if l > hi or not (bits >> l) & ((1 << (hi - l + 1)) - 1):
+        return None
+    prefix = [1]
+    for t in s:
+        prefix.append(prefix[-1] | (prefix[-1] << int(t)))
+    target = next(t for t in range(max(l, 0), hi + 1) if (prefix[-1] >> t) & 1)
+    v = np.zeros(s.size)
+    for i in range(s.size - 1, -1, -1):
+        if not (prefix[i] >> target) & 1:
+            v[i] = 1.0
+            target -= int(s[i])
+    return v
+
+
+def test_subset_sum_table_matches_reference():
+    rng = np.random.default_rng(29)
+    for trial in range(200):
+        n = int(rng.integers(1, 12))
+        s = rng.integers(1, int(rng.choice([2, 4, 9])), size=n).astype(np.float64)
+        total = int(s.sum())
+        l = int(rng.integers(0, total + 2))
+        u = int(rng.integers(l - 1, total + 3))
+        prefix = list(_subset_sums(s))
+        assert len(prefix) == n + 1 and prefix[-1].bit_length() == total + 1
+        ref = _dp_side_reference(s, l, u)
+        assert _sum_reachable(prefix[-1], l, u) == (ref is not None)
+        if ref is not None:
+            v = _dp_binary_side(s, l, u)
+            assert v.tobytes() == ref.tobytes()
+            assert l <= float(s @ v) <= u
 
 
 def _multistart_loop(inst, params, stats):
