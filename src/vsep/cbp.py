@@ -206,11 +206,12 @@ def solve_block_lp(g: Sequence[float], s: Sequence[float], l: int, u: int) -> np
     ``g`` is one gain vector of shape (n,) or a stack of shape (rows, n);
     each row is solved on its own and the result has the shape of ``g``.
 
-    Greedy on the ratio g_i/s_i, ties broken toward the lower index: take
-    positive-gain items until u is hit (cut item set fractionally to land
-    exactly on u), then, if the sum is still below l, keep walking down the
-    sorted order until it reaches exactly l.  The result is a vertex of the
-    polytope with at most one fractional coordinate.
+    Greedy on the ratio g_i/s_i, ties broken toward the lower index.  The
+    positive-gain items lead that order and have total size P; the greedy
+    fills the order up to clip(P, l, u): every item whose cumulative size
+    fits is 1, the next one takes the rest fractionally, and all later
+    items are 0.  The result is a vertex of the polytope with at most one
+    fractional coordinate.
     """
     g = np.asarray(g, dtype=np.float64)
     s = np.ascontiguousarray(s, dtype=np.float64)
@@ -223,40 +224,19 @@ def solve_block_lp(g: Sequence[float], s: Sequence[float], l: int, u: int) -> np
     G = g if g.ndim == 2 else g[None]
     rows, n = G.shape
     order = np.argsort(G / -s, axis=1, kind="stable")  # ratio descending, ties by index
-    ss = s[order]
     cums = np.zeros((rows, n + 1))  # cums[:, t]: size of the first t items; rises strictly
-    np.cumsum(ss, axis=1, out=cums[:, 1:])
-    npos = (G > 0).sum(axis=1)
-
-    # per row: the first `full` items of the order are in, and where `frac`
-    # holds the next one too, at value fval
+    np.cumsum(s[order], axis=1, out=cums[:, 1:])
     r = np.arange(rows)
-    full = np.minimum((cums[:, 1:] <= u).sum(axis=1), npos)
-    run = cums[r, full]
-    frac = (full < npos) & (run < u)
-    fval = np.zeros(rows)
-    fval[frac] = (u - run[frac]) / ss[frac, full[frac]]
-    run[frac] = u
-
-    low = (run < l).nonzero()[0]
-    if low.size:
-        # every positive-gain item is already fully in; continue down the order
-        t = np.arange(n)
-        p = npos[low]
-        tail = t >= p[:, None]
-        tcums = run[low, None] + np.cumsum(np.where(tail, ss[low], 0.0), axis=1)
-        j = (tail & (tcums < l)).sum(axis=1)
-        full[low] = i = p + j
-        prev = np.where(j > 0, tcums[np.arange(low.size), i - 1], run[low])
-        fval[low] = np.minimum((l - prev) / ss[low, i], 1.0)
-        frac[low] = True
+    fill = np.clip(cums[r, (G > 0).sum(axis=1)], l, u)
+    full = (cums[:, 1:] <= fill[:, None]).sum(axis=1)  # items that fit whole
+    rest = fill - cums[r, full]  # the size left for the next item
 
     # one prefix write per row costs less than a scatter of every item
     v = np.zeros((rows, n))
-    for row, o, f, fr, fv in zip(v, order, full.tolist(), frac.tolist(), fval.tolist()):
+    for row, o, f, left in zip(v, order, full.tolist(), rest.tolist()):
         row[o[:f]] = 1.0
-        if fr:
-            row[o[f]] = fv
+        if left and f < n:  # f == n when rounding leaves the sizes' sum short of l
+            row[o[f]] = left / s[o[f]]
     return v if g.ndim == 2 else v[0]
 
 
@@ -371,10 +351,6 @@ def _snap(v: np.ndarray) -> None:
     v[np.abs(v - 1.0) <= EPS] = 1.0
 
 
-def _fractional(v: np.ndarray) -> list[int]:
-    return [int(i) for i in np.flatnonzero((v > 0.0) & (v < 1.0))]
-
-
 def _defractionalize(v: np.ndarray, grad: np.ndarray, s: np.ndarray, l: int, u: int) -> None:
     """Drive v to binary in place, keeping l <= s.v <= u and grad.v nondecreasing
     wherever a nondecreasing completion exists."""
@@ -383,10 +359,10 @@ def _defractionalize(v: np.ndarray, grad: np.ndarray, s: np.ndarray, l: int, u: 
         guard -= 1
         if guard < 0:
             raise DegenerateRepairError("rounding failed to converge")
-        frac = _fractional(v)
-        if not frac:
+        frac = np.flatnonzero((v > 0.0) & (v < 1.0))
+        if not frac.size:
             return
-        if len(frac) >= 2:
+        if frac.size >= 2:
             _pair_step(v, grad, s, frac[0], frac[1])
             continue
 
@@ -481,9 +457,8 @@ def _orthogonality_repair(inst: CbpInstance, x: np.ndarray, y: np.ndarray) -> No
     c, s = inst.c, inst.s
     sx = float(s @ x)
     sy = float(s @ y)
-    for i in range(inst.n):
-        if x[i] != 1.0:
-            continue
+    # y only falls: an x_i = 1 with no y = 1 interaction now never gains one
+    for i in np.flatnonzero((x == 1.0) & (inst.B @ y > 0)).tolist():
         cols, _ = inst.interactions(i)
         for j in cols:
             j = int(j)

@@ -61,13 +61,8 @@ def _emit(report: dict, output: str) -> None:
     for key, value in report.items():
         if key == "trace":
             for t in value:
-                print(
-                    f"trace level {t['level']}: n={t['n']}"
-                    f" objective_before={t['objective_before']}"
-                    f" objective_after={t['objective_after']}"
-                    f" escapes={t['escapes']}"
-                    f" separator_weight={t['separator_weight']}"
-                )
+                fields = " ".join(f"{k}={v}" for k, v in t.items() if k != "level")
+                print(f"trace level {t['level']}: {fields}")
         elif isinstance(value, dict):
             for k, v in value.items():
                 print(f"{key}.{k}: {v}")
@@ -129,10 +124,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             b=[v + 1 for v in w.b],
             separator=[v + 1 for v in w.s],
         )
-    if args.output == "json":
-        print(json.dumps(report, indent=2))
-    elif result.feasible:
-        _emit(report, "plain")
+    if result.feasible or args.output == "json":
+        _emit(report, args.output)
     else:
         print("infeasible")
     return 0
@@ -190,8 +183,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("input", help="graph file (.mtx or .graph)")
     sub.add_argument("--format", choices=("mtx", "metis"), help="override format inference")
-    sub.add_argument("--ub-frac", type=float, default=0.503, help="upper bound fraction for both sides")
-    sub.add_argument("--lb", type=int, default=1, help="lower bound on both side sizes")
+    sub.add_argument(
+        "--ub-frac", type=float, default=SolveParams.ub_fraction, help="upper bound fraction for both sides"
+    )
+    sub.add_argument("--lb", type=int, default=SolveParams.lb, help="lower bound on both side sizes")
     sub.add_argument("--output", choices=("plain", "json"), default="plain")
 
 
@@ -201,10 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = subs.add_parser("solve", help="run the multilevel solver")
     _add_common(p_solve)
-    p_solve.add_argument("--coarsest-size", type=int, default=64)
-    p_solve.add_argument("--gamma-steps", type=int, default=10)
-    p_solve.add_argument("--multistarts", type=int, default=20)
-    p_solve.add_argument("--seed", type=int, default=0)
+    p_solve.add_argument("--coarsest-size", type=int, default=SolveParams.coarsest_size)
+    p_solve.add_argument("--gamma-steps", type=int, default=SolveParams.gamma_steps)
+    p_solve.add_argument("--multistarts", type=int, default=SolveParams.multistarts)
+    p_solve.add_argument("--seed", type=int, default=SolveParams.seed)
     p_solve.set_defaults(func=cmd_solve)
 
     p_oracle = subs.add_parser("oracle", help="exact answer for tiny graphs (n <= 16)")
@@ -213,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = subs.add_parser("bench", help="run a manifest of benchmark graphs")
     p_bench.add_argument("manifest", help="lines: name path expected_n reference_separator ratio_threshold")
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=int, default=SolveParams.seed)
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -115,6 +115,12 @@ def test_lp_lower_bound_forces_least_loss():
     assert np.allclose(v, [1, 0.5, 0], atol=EPS)
 
 
+def test_lp_lower_bound_at_total_past_rounded_sizes():
+    # these sizes sum to 15.0, but to 14.999999999999998 in ratio order
+    v = solve_block_lp([2, 1, 0, -2, -1], [3.5, 2.7, 2.5, 2.6, 3.7], 15, 15)
+    assert np.array_equal(v, np.ones(5))
+
+
 def test_lp_infeasible_bounds():
     with pytest.raises(InfeasibleBoundsError):
         solve_block_lp([1, 1], [1, 1], 3, 4)
@@ -172,12 +178,16 @@ def _block_lp_loop(g, s, l, u):
 
 
 def _random_block_lps(rng, count):
-    """Gain stacks with ties, zeros and negatives over integer sizes, with
-    lower bounds that force the tail walk, and l == u."""
+    """Gain stacks with ties, zeros and negatives over unit, integer and
+    non-integer sizes, with lower bounds above the positive-gain items'
+    size, and l == u."""
     for trial in range(count):
         n = int(rng.integers(1, 90))
         rows = int(rng.integers(1, 8))
-        s = rng.integers(1, 4, size=n).astype(float) if trial % 2 else np.ones(n)
+        if trial % 3 == 2:
+            s = rng.uniform(1, 4, size=n)
+        else:
+            s = rng.integers(1, 4, size=n).astype(float) if trial % 2 else np.ones(n)
         G = rng.integers(-3, 4, size=(rows, n)) * rng.choice([1.0, 0.5, 1 / 3])
         if trial % 3 == 0:
             G += rng.normal(size=(rows, n))
@@ -186,7 +196,7 @@ def _random_block_lps(rng, count):
         if kind == 0:
             l, u = 0, int(rng.integers(0, total + 1))
         elif kind == 1:
-            l = int(rng.integers(total // 2, total + 1))  # raised l: the walk goes past the positives
+            l = int(rng.integers(total // 2, total + 1))  # raised l: the fill goes past the positives
             u = int(rng.integers(l, total + 1))
         elif kind == 2:
             l = u = int(rng.integers(0, total + 1))

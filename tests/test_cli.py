@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from vsep.cli import main
+from vsep.cli import _params, build_parser, main
+from vsep.multilevel import SolveParams
 
 P5_METIS = "5 4\n2\n1 3\n2 4\n3 5\n4\n"
 K4_METIS = "4 6\n2 3 4\n1 3 4\n1 2 4\n1 2 3\n"
@@ -33,6 +34,31 @@ def test_solve_plain_p5(tmp_path, capsys):
     assert code == 0
     assert "separator_weight: 1" in out
     assert "separator: 3" in out
+
+
+@pytest.mark.parametrize(
+    "flags, lines",
+    [
+        ((), ["trace level 0: n=5 objective_before=None objective_after=4.0 escapes=11 separator_weight=1"]),
+        (
+            ("--coarsest-size", "3"),
+            [
+                "trace level 1: n=3 objective_before=None objective_after=4.0 escapes=0 separator_weight=1",
+                "trace level 0: n=5 objective_before=4.0 objective_after=4.0 escapes=0 separator_weight=1",
+            ],
+        ),
+    ],
+    ids=["one-level", "two-level"],
+)
+def test_solve_plain_trace_lines(tmp_path, capsys, flags, lines):
+    f = write(tmp_path, "p5.graph", P5_METIS)
+    code, out, _ = run(capsys, "solve", str(f), *flags)
+    assert code == 0
+    assert [ln for ln in out.splitlines() if ln.startswith("trace")] == lines
+
+
+def test_solve_defaults_are_solve_params():
+    assert _params(build_parser().parse_args(["solve", "g.graph"])) == SolveParams()
 
 
 def test_solve_json_fields(tmp_path, capsys):
