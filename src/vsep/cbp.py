@@ -111,11 +111,6 @@ class CbpInstance:
             return self._dense @ v
         return (self._dense @ v[:, :, None])[:, :, 0]
 
-    def interactions(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted column indices and values of row i of B (diagonal included)."""
-        lo, hi = self.B.indptr[i], self.B.indptr[i + 1]
-        return self.B.indices[lo:hi], self.B.data[lo:hi]
-
 
 @dataclass
 class Point:
@@ -322,15 +317,16 @@ def _check_step(before: np.ndarray, after: np.ndarray, mask: np.ndarray | None) 
 def round_to_binary(inst: CbpInstance, p: Point) -> Point:
     """Move to a feasible binary point with x.B.y = 0.
 
-    Three phases: fractional coordinates of x are eliminated along
-    sum-preserving two-coordinate directions (y fixed), then the same for
-    y, then every remaining interaction with x_i = y_j = 1 is cleared by
-    zeroing one endpoint.  Every move takes the best available objective
-    direction at gamma0, so the objective never decreases unless the only
-    fractional coordinate sits pinned on a sum bound where a lossless
-    binary completion of its block does not exist.  Raises
-    DegenerateRepairError when clearing an interaction would push both
-    sides below their lower bounds.
+    Three phases: x is made binary with y fixed, then y with x fixed, then
+    every remaining interaction with x_i = y_j = 1 is cleared by zeroing
+    one endpoint.  A block with several fractional coordinates first moves
+    to its block-LP optimum at gamma0, which has at most one; the points
+    that refine and escape return are such vertices already.  The last
+    fractional coordinate then takes the best available objective
+    direction, so the objective never decreases unless it sits pinned on
+    a sum bound where a lossless binary completion of its block does not
+    exist.  Raises DegenerateRepairError when clearing an interaction
+    would push both sides below their lower bounds.
     """
     if not feasible(inst, p):
         raise ValueError("round_to_binary requires a feasible point")
@@ -353,41 +349,23 @@ def _snap(v: np.ndarray) -> None:
 
 def _defractionalize(v: np.ndarray, grad: np.ndarray, s: np.ndarray, l: int, u: int) -> None:
     """Drive v to binary in place, keeping l <= s.v <= u and grad.v nondecreasing
-    wherever a nondecreasing completion exists."""
-    guard = 4 * v.size + 8
-    while True:
-        guard -= 1
-        if guard < 0:
-            raise DegenerateRepairError("rounding failed to converge")
+    wherever a nondecreasing completion exists.
+
+    A block with two or more fractional coordinates first moves to its
+    block-LP optimum, which raises grad.v and leaves at most one fractional
+    coordinate; that one is finished toward its preferred side, else the
+    other."""
+    frac = np.flatnonzero((v > 0.0) & (v < 1.0))
+    if frac.size >= 2:
+        v[:] = solve_block_lp(grad, s, l, u)
         frac = np.flatnonzero((v > 0.0) & (v < 1.0))
-        if not frac.size:
-            return
-        if frac.size >= 2:
-            _pair_step(v, grad, s, frac[0], frac[1])
-            continue
-
-        i = frac[0]
-        preferred = 1 if grad[i] > 0 else 0  # ties go toward 0
-        if not _finish_single(v, grad, s, l, u, i, preferred):
-            if not _finish_single(v, grad, s, l, u, i, 1 - preferred):
-                raise DegenerateRepairError(f"no move can finish coordinate {i}")
-
-
-def _pair_step(v: np.ndarray, grad: np.ndarray, s: np.ndarray, i: int, j: int) -> None:
-    """One move along s_j*e_i - s_i*e_j; at least one of v_i, v_j goes binary."""
-    slope = s[j] * grad[i] - s[i] * grad[j]
-    if slope >= 0:  # raise v_i, lower v_j (ties take the positive sign)
-        t1 = (1.0 - v[i]) / s[j]
-        t2 = v[j] / s[i]
-        t = min(t1, t2)
-        v[i] = 1.0 if t1 <= t2 else v[i] + t * s[j]
-        v[j] = 0.0 if t2 <= t1 else v[j] - t * s[i]
-    else:
-        t1 = v[i] / s[j]
-        t2 = (1.0 - v[j]) / s[i]
-        t = min(t1, t2)
-        v[i] = 0.0 if t1 <= t2 else v[i] - t * s[j]
-        v[j] = 1.0 if t2 <= t1 else v[j] + t * s[i]
+    if not frac.size:
+        return
+    i = frac[0]
+    preferred = 1 if grad[i] > 0 else 0  # ties go toward 0
+    if not _finish_single(v, grad, s, l, u, i, preferred):
+        if not _finish_single(v, grad, s, l, u, i, 1 - preferred):
+            raise DegenerateRepairError(f"no move can finish coordinate {i}")
 
 
 def _finish_single(
@@ -455,13 +433,12 @@ def _orthogonality_repair(inst: CbpInstance, x: np.ndarray, y: np.ndarray) -> No
     zeroing changes the objective by gamma0 * interaction - cost >= 0.
     """
     c, s = inst.c, inst.s
+    indptr, indices = inst.B.indptr, inst.B.indices
     sx = float(s @ x)
     sy = float(s @ y)
     # y only falls: an x_i = 1 with no y = 1 interaction now never gains one
     for i in np.flatnonzero((x == 1.0) & (inst.B @ y > 0)).tolist():
-        cols, _ = inst.interactions(i)
-        for j in cols:
-            j = int(j)
+        for j in indices[indptr[i] : indptr[i + 1]].tolist():
             if y[j] != 1.0:
                 continue
             x_ok = sx - s[i] >= inst.la - EPS

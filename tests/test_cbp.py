@@ -26,6 +26,7 @@ from vsep.cbp import (
     solve_block_lp,
 )
 from vsep.graphs import Graph
+from vsep.multilevel import SolveParams, build_hierarchy
 from vsep.oracle import brute_force_lp, brute_force_vsp
 
 EPS = 1e-9
@@ -410,19 +411,39 @@ def test_round_partner_completion_with_aggregate_sizes():
     assert feasible(inst, q)
 
 
+def test_round_several_fractional_moves_to_block_lp_optimum():
+    g = Graph.from_edges(4, [], vertex_cost=[1, 2, 3, 4])
+    inst = instance_from_graph(g, 2, 2, 0, 2)
+    q = round_to_binary(inst, pt([0.5] * 4, [0] * 4))
+    assert np.array_equal(q.x, [0, 0, 1, 1])  # the two costliest vertices
+    assert np.array_equal(q.y, [0, 0, 0, 0])
+    assert objective(inst, q, inst.gamma0) == 7.0
+
+
+def _assert_round_contract(inst, p):
+    f_in = objective(inst, p, inst.gamma0)
+    q = round_to_binary(inst, p)
+    assert set(np.unique(q.x)) <= {0.0, 1.0}
+    assert set(np.unique(q.y)) <= {0.0, 1.0}
+    assert feasible(inst, q)
+    assert float(q.x @ inst.bdot(q.y)) <= EPS
+    assert objective(inst, q, inst.gamma0) >= f_in - EPS
+
+
 def test_round_contract_on_random_points():
     rng = np.random.default_rng(17)
     for trial in range(40):
         g = gnp(int(rng.integers(4, 40)), float(rng.choice([0.15, 0.4])), seed=300 + trial)
         inst = default_instance(g)
-        p = random_fractional_point(inst, rng)
-        f_in = objective(inst, p, inst.gamma0)
-        q = round_to_binary(inst, p)
-        assert set(np.unique(q.x)) <= {0.0, 1.0}
-        assert set(np.unique(q.y)) <= {0.0, 1.0}
-        assert feasible(inst, q)
-        assert float(q.x @ inst.bdot(q.y)) <= EPS
-        assert objective(inst, q, inst.gamma0) >= f_in - EPS
+        _assert_round_contract(inst, random_fractional_point(inst, rng))
+
+    # coarse levels have aggregate sizes; lower bounds of 0 let every point round
+    params = SolveParams(la=0, lb=0, coarsest_size=8)
+    for trial in range(20):
+        g = gnp(int(rng.integers(20, 120)), float(rng.choice([0.03, 0.06, 0.12])), seed=400 + trial)
+        for level in build_hierarchy(g, params).levels:
+            for _ in range(3):
+                _assert_round_contract(level.inst, random_fractional_point(level.inst, rng))
 
 
 # ---------------------------------------------------------- extract_partition

@@ -139,11 +139,14 @@ def test_solve_internal_validation_exit_4(tmp_path, capsys, monkeypatch):
     import vsep.cli as cli
 
     f = write(tmp_path, "p5.graph", P5_METIS)
-    bogus = Partition(a=(0, 1, 2), b=(3, 4), s=(), separator_weight=0)
-    monkeypatch.setattr(cli, "solve", lambda g, params: (bogus, []))
-    code, _, err = run(capsys, "solve", str(f))
-    assert code == 4
-    assert "validation" in err
+    for bogus, problem in (
+        (Partition(a=(0, 1, 2), b=(3, 4), s=(), separator_weight=0), "edge between a and b: (2, 3)"),
+        (Partition(a=(0, 1), b=(3, 4), s=(), separator_weight=0), "vertex in no set: 2"),
+    ):
+        monkeypatch.setattr(cli, "solve", lambda g, params: (bogus, []))
+        code, _, err = run(capsys, "solve", str(f))
+        assert code == 4
+        assert "validation" in err and problem in err
 
 
 # -------------------------------------------------------------------- oracle

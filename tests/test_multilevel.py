@@ -453,6 +453,26 @@ def test_solve_multilevel_path_uses_hierarchy():
     assert part.separator_weight <= 15  # a straight cut costs 10
 
 
+def test_solve_rounds_only_block_lp_vertices(monkeypatch):
+    # refine and escape hand rounding block-LP vertices, which have at most
+    # one fractional coordinate per block
+    import vsep.multilevel as ml
+    from test_golden import CASES
+
+    calls = []
+
+    def checked(inst, p):
+        calls.append(p)
+        for v in (p.x, p.y):
+            assert np.count_nonzero((v > 0) & (v < 1)) <= 1
+        return round_to_binary(inst, p)
+
+    monkeypatch.setattr(ml, "round_to_binary", checked)
+    for make, params in CASES.values():
+        solve(make(), params)
+    assert len(calls) > 3 * len(CASES)
+
+
 def test_solve_rejects_invalid_graph():
     bad = Graph(
         2,
