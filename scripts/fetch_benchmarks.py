@@ -31,16 +31,6 @@ MATRICES = {
     "lshp3466": "HB",
 }
 
-MANIFEST = """\
-# name  path  expected_n  reference_separator  ratio_threshold
-bcspwr09 bcspwr09.mtx 1723 8 1.5
-jagmesh7 jagmesh7.mtx 1138 14 1.5
-sherman1 sherman1.mtx 1000 28 1.5
-minnesota minnesota.mtx 2642 17 1.5
-lshp3466 lshp3466.mtx 3466 61 1.5
-"""
-
-
 def fetch(name: str, group: str, dest: Path) -> None:
     url = f"{BASE}/{group}/{name}.tar.gz"
     print(f"fetching {url}")
@@ -56,7 +46,6 @@ def fetch(name: str, group: str, dest: Path) -> None:
 def main() -> int:
     out_dir = Path(__file__).resolve().parent.parent / "benchmarks"
     out_dir.mkdir(exist_ok=True)
-    (out_dir / "manifest.txt").write_text(MANIFEST)
     failures = []
     for name, group in MATRICES.items():
         dest = out_dir / f"{name}.mtx"

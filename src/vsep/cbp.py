@@ -183,15 +183,18 @@ def objective(inst: CbpInstance, p: Point, gamma: float) -> float:
 
 
 def feasible(inst: CbpInstance, p: Point) -> bool:
-    """Box bounds plus both sum constraints, to within EPS; x/y overlap is allowed."""
-    x, y = _point_arrays(inst, p)
-    if np.any(x < -EPS) or np.any(x > 1 + EPS) or np.any(y < -EPS) or np.any(y > 1 + EPS):
+    """Box bounds plus both sum constraints, to within EPS; x/y overlap is allowed.
+
+    ``p`` may also be a (rows, n) stack, which is feasible when every row is."""
+    x, y = _stacked_arrays(inst, p)
+    lo = min(x.min(initial=0.0), y.min(initial=0.0))
+    hi = max(x.max(initial=1.0), y.max(initial=1.0))
+    if lo < -EPS or hi > 1 + EPS:
         return False
-    sx = float(inst.s @ x)
-    sy = float(inst.s @ y)
-    return (
-        inst.la - EPS <= sx <= inst.ua + EPS
-        and inst.lb - EPS <= sy <= inst.ub + EPS
+    sx, sy = _rowdot(x, inst.s), _rowdot(y, inst.s)
+    return bool(
+        inst.la - EPS <= sx.min() and sx.max() <= inst.ua + EPS
+        and inst.lb - EPS <= sy.min() and sy.max() <= inst.ub + EPS
     )
 
 
@@ -222,7 +225,7 @@ def solve_block_lp(g: Sequence[float], s: Sequence[float], l: int, u: int) -> np
     cums = np.zeros((rows, n + 1))  # cums[:, t]: size of the first t items; rises strictly
     np.cumsum(s[order], axis=1, out=cums[:, 1:])
     r = np.arange(rows)
-    fill = np.clip(cums[r, (G > 0).sum(axis=1)], l, u)
+    fill = np.minimum(np.maximum(cums[r, (G > 0).sum(axis=1)], l), u)
     full = (cums[:, 1:] <= fill[:, None]).sum(axis=1)  # items that fit whole
     rest = fill - cums[r, full]  # the size left for the next item
 
@@ -235,61 +238,41 @@ def solve_block_lp(g: Sequence[float], s: Sequence[float], l: int, u: int) -> np
     return v if g.ndim == 2 else v[0]
 
 
-def refine(
-    inst: CbpInstance,
-    p: Point,
-    gamma: float | np.ndarray,
-    step_log: list[float] | None = None,
-) -> Point:
+def refine(inst: CbpInstance, p: Point, gamma: float | np.ndarray) -> Point:
     """Alternate exact block-LP updates of x and y until a full sweep gains <= EPS.
 
-    Every update maximizes the objective over its block, so the objective
-    is nondecreasing at each step; this is verified and a MonotonicityError
-    is raised on any violation.  The returned point is a blockwise fixed
-    point at the given gamma.
-
-    The start must lie in the box; a start outside the sum bounds is
-    allowed (the first update of each block restores them), in which case
-    that block's first step is exempt from the monotonicity check.
+    The start must be feasible (see ``feasible``); a ValueError says it is
+    not.  Every update then maximizes the objective over its block, so the
+    objective is nondecreasing at each step; every step is verified and a
+    MonotonicityError is raised on any violation.  The returned point is a
+    blockwise fixed point at the given gamma.
 
     ``p`` may also be a stack, x and y of shape (rows, n), with ``gamma``
     one value or one per row.  Each row is refined as it would be on its
     own, to the same bits: a converged row stops changing while the rows
-    still live sweep on.  ``step_log`` records the steps of a single row.
+    still live sweep on.
     """
     x, y = _stacked_arrays(inst, p)
+    if not feasible(inst, p):
+        raise ValueError("refine requires a feasible starting point")
     rows = x.shape[0]
-    if step_log is not None and rows != 1:
-        raise ValueError("step_log needs a single point")
-    if inst.n and (
-        min(x.min(), y.min()) < -EPS or max(x.max(), y.max()) > 1 + EPS
-    ):
-        raise ValueError("refine requires a starting point inside the box")
     gammas = np.empty((rows, 1))
     gammas[:, 0] = gamma
     c, s = inst.c, inst.s
     out_x, out_y = np.empty_like(x), np.empty_like(y)
     live = np.arange(rows)
-    sx, sy = _rowdot(x, s), _rowdot(y, s)
-    x_in_bounds = (inst.la - EPS <= sx) & (sx <= inst.ua + EPS)
-    y_in_bounds = (inst.lb - EPS <= sy) & (sy <= inst.ub + EPS)
     by = inst.bdot(y)
     f_prev = _rowdot(x + y, c) - gammas[:, 0] * _rowdot(x, by)
     while True:
         gx = c - gammas * by
         x = solve_block_lp(gx, s, inst.la, inst.ua)
         f_x = _rowdot(gx, x) + _rowdot(y, c)
-        _check_step(f_prev, f_x, x_in_bounds)
-        if step_log is not None:
-            step_log.append(float(f_x[0]))
+        _check_step(f_prev, f_x)
 
         gy = c - gammas * inst.bdot(x)
         y = solve_block_lp(gy, s, inst.lb, inst.ub)
         f_y = _rowdot(gy, y) + _rowdot(x, c)
-        _check_step(f_x, f_y, y_in_bounds)
-        x_in_bounds = y_in_bounds = None
-        if step_log is not None:
-            step_log.append(float(f_y[0]))
+        _check_step(f_x, f_y)
 
         done = f_y - f_prev <= EPS
         if done.any():
@@ -304,11 +287,9 @@ def refine(
     return _shaped_like(p, out_x, out_y)
 
 
-def _check_step(before: np.ndarray, after: np.ndarray, mask: np.ndarray | None) -> None:
-    """Raise unless after >= before - EPS on every row, or on the rows in mask."""
+def _check_step(before: np.ndarray, after: np.ndarray) -> None:
+    """Raise MonotonicityError unless after >= before - EPS on every row."""
     fell = after < before - EPS
-    if mask is not None:
-        fell &= mask
     if fell.any():
         i = int(np.argmax(fell))
         raise MonotonicityError(f"objective fell from {before[i]!r} to {after[i]!r}")
@@ -478,11 +459,7 @@ def extract_partition(inst: CbpInstance, p: Point) -> Partition:
 
 
 def escape(
-    inst: CbpInstance,
-    p: Point,
-    gamma_steps: int = 10,
-    stats: dict | None = None,
-    step_log: list[tuple[float, list[float]]] | None = None,
+    inst: CbpInstance, p: Point, gamma_steps: int = 10, stats: dict | None = None
 ) -> Point:
     """Leave local maxima by refining at reduced penalties.
 
@@ -490,19 +467,17 @@ def escape(
     from the current point at each value and re-refining the result at
     gamma0.  A strict improvement restarts the schedule from the improved
     point; a full pass down to gamma = 0 without improvement terminates.
-    The objective at gamma0 never decreases.
+    The objective at gamma0 never decreases.  The start must be feasible,
+    as for ``refine``.
 
     ``p`` may be a stack of points, as for ``refine``: each row keeps its
     own k, current point and objective, and gets the result it would get
     on its own.  ``stats["escapes"]`` grows by the accepted improvements
-    of all rows.  When given, ``step_log`` collects one (gamma, per-step
-    objectives) pair per inner refinement of a single point.
+    of all rows.
     """
     K = int(gamma_steps)
     x, y = _stacked_arrays(inst, p)
     rows = x.shape[0]
-    if step_log is not None and rows != 1:
-        raise ValueError("step_log needs a single point")
     gamma0 = inst.gamma0
     x, y = x.copy(), y.copy()
     f_curr = _objectives(inst, x, y, gamma0)
@@ -513,13 +488,8 @@ def escape(
         if not live.size:
             break
         gamma_k = gamma0 * (1.0 - k[live] / K)
-        probe_log: list[float] | None = [] if step_log is not None else None
-        probe = refine(inst, Point(x[live], y[live]), gamma_k, step_log=probe_log)
-        back_log: list[float] | None = [] if step_log is not None else None
-        back = refine(inst, probe, gamma0, step_log=back_log)
-        if step_log is not None:
-            step_log.append((float(gamma_k[0]), probe_log))
-            step_log.append((gamma0, back_log))
+        probe = refine(inst, Point(x[live], y[live]), gamma_k)
+        back = refine(inst, probe, gamma0)
         f_back = _objectives(inst, back.x, back.y, gamma0)
         better = f_back > f_curr[live] + EPS
         won = live[better]

@@ -35,7 +35,7 @@ from .cbp import (
     EPS,
 )
 from .graphs import Graph, validate
-from .oracle import brute_force_vsp
+from .oracle import VSP_CAP, brute_force_vsp
 
 
 _MAX_LEVELS = 64  # build_hierarchy stops here even if matching still shrinks
@@ -305,7 +305,7 @@ def solve_coarsest(
 
     # exhaustive backstop; also the tie-breaker of last resort when every
     # start failed to round and the instance is still small enough
-    if inst.n <= 12 or (best is None and inst.n <= 16):
+    if inst.n <= 12 or (best is None and inst.n <= VSP_CAP):
         result = brute_force_vsp(
             _interaction_graph(inst), inst.la, inst.ua, inst.lb, inst.ub
         )

@@ -28,8 +28,8 @@ class OracleResult:
         return self.optimal_weight is not None
 
 
-_VSP_CAP = 16
-_CHUNK = 3**11
+VSP_CAP = 16
+_LOW_DIGITS = 11  # one chunk enumerates the 3^11 assignments of the last 11 vertices
 
 
 def brute_force_vsp(graph: Graph, la: int, ua: int, lb: int, ub: int) -> OracleResult:
@@ -41,26 +41,30 @@ def brute_force_vsp(graph: Graph, la: int, ua: int, lb: int, ub: int) -> OracleR
     a < b < separator, vertex 0 most significant.
     """
     n = graph.n
-    if n > _VSP_CAP:
-        raise TooLargeError(f"n={n} exceeds the exhaustive cap {_VSP_CAP}")
+    if n > VSP_CAP:
+        raise TooLargeError(f"n={n} exceeds the exhaustive cap {VSP_CAP}")
     cost = graph.vertex_cost.astype(np.int64)
     size = graph.vertex_size.astype(np.int64)
     edge_list = [(u, v) for u, v, _ in graph.edges()]
 
-    powers = 3 ** np.arange(n - 1, -1, -1, dtype=np.int64) if n else np.zeros(0, np.int64)
-    total = 3**n
+    # the low digits are one table in lexicographic order; each chunk in
+    # turn writes its constant high digits in front of it
+    low = min(n, _LOW_DIGITS)
+    digits = np.empty((3**low, n), dtype=np.int8, order="F")  # columns read fast
+    digits[:, n - low :] = np.indices((3,) * low, dtype=np.int8).reshape(low, 3**low).T
     best_w: int | None = None
-    best_code: int | None = None
-    for chunk_start in range(0, total, _CHUNK):
-        codes = np.arange(chunk_start, min(chunk_start + _CHUNK, total), dtype=np.int64)
-        digits = (codes[:, None] // powers[None, :]) % 3 if n else np.zeros((1, 0), np.int64)
+    best_digits: np.ndarray | None = None
+    for high in np.ndindex(*(3,) * (n - low)):
+        digits[:, : n - low] = high
         in_a = digits == 0
         in_b = digits == 1
+        size_a = in_a @ size
+        size_b = in_b @ size
         ok = (
-            (in_a @ size >= la)
-            & (in_a @ size <= ua)
-            & (in_b @ size >= lb)
-            & (in_b @ size <= ub)
+            (size_a >= la)
+            & (size_a <= ua)
+            & (size_b >= lb)
+            & (size_b <= ub)
         )
         for u, v in edge_list:
             ok &= ~((in_a[:, u] & in_b[:, v]) | (in_b[:, u] & in_a[:, v]))
@@ -71,15 +75,14 @@ def brute_force_vsp(graph: Graph, la: int, ua: int, lb: int, ub: int) -> OracleR
         k = idx[np.argmin(weights[idx])]  # first minimum: lexicographic tie-break
         if best_w is None or weights[k] < best_w:
             best_w = int(weights[k])
-            best_code = int(codes[k])
+            best_digits = digits[k].copy()
 
     if best_w is None:
         return OracleResult(None, None)
-    digits = (best_code // powers) % 3
     witness = Partition(
-        a=tuple(int(i) for i in np.flatnonzero(digits == 0)),
-        b=tuple(int(i) for i in np.flatnonzero(digits == 1)),
-        s=tuple(int(i) for i in np.flatnonzero(digits == 2)),
+        a=tuple(int(i) for i in np.flatnonzero(best_digits == 0)),
+        b=tuple(int(i) for i in np.flatnonzero(best_digits == 1)),
+        s=tuple(int(i) for i in np.flatnonzero(best_digits == 2)),
         separator_weight=best_w,
     )
     return OracleResult(best_w, witness)

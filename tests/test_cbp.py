@@ -13,6 +13,7 @@ from vsep.cbp import (
     DegenerateRepairError,
     DimensionMismatchError,
     InfeasibleBoundsError,
+    MonotonicityError,
     Partition,
     Point,
     escape,
@@ -85,6 +86,14 @@ def test_feasible_lower_bound():
 def test_feasible_overlap_allowed():
     inst = k2_instance(ua=2, ub=2)
     assert feasible(inst, pt([1, 1], [1, 1]))
+
+
+def test_feasible_stack_needs_every_row():
+    inst = p3_instance()
+    good = [[1, 0, 0], [0, 0.5, 0.5]]
+    assert feasible(inst, pt(good, [[0, 0, 1], [0, 1, 0]]))
+    assert not feasible(inst, pt(good, [[0, 0, 1], [0, 0, 0]]))  # row 1 below lb
+    assert not feasible(inst, pt([[1, 0, 0], [0, 1.5, -0.5]], [[0, 0, 1]] * 2))  # row 1 off the box
 
 
 # ------------------------------------------------------------- solve_block_lp
@@ -236,14 +245,31 @@ def test_lp_stack_shapes():
 # --------------------------------------------------------------------- refine
 
 
-def test_refine_p3_trace_from_zero():
+def test_refine_p3_reaches_endpoints():
     inst = p3_instance()
-    log: list = []
-    out = refine(inst, pt([0, 0, 0], [0, 0, 0]), 1.0, step_log=log)
+    out = refine(inst, pt([0, 1, 0], [0, 1, 0]), 1.0)
     assert np.array_equal(out.x, [1, 0, 0])
     assert np.array_equal(out.y, [0, 0, 1])
     assert objective(inst, out, 1.0) == 2.0
-    assert log == sorted(log)
+
+
+def test_refine_rejects_infeasible_starts():
+    inst = p3_instance()
+    with pytest.raises(ValueError, match="feasible"):
+        refine(inst, pt([1.5, -0.5, 0], [0, 0, 1]), 1.0)  # off the box, sums in bounds
+    with pytest.raises(ValueError, match="feasible"):
+        refine(inst, pt([0, 0, 0], [0, 0, 0]), 1.0)  # in the box, below la and lb
+    good = [[1, 0, 0], [0, 0, 1]]
+    with pytest.raises(ValueError, match="feasible"):
+        refine(inst, pt(good, [[0, 0, 1], [0, 1, 1]]), 1.0)  # only row 1 above ub
+
+
+def test_refine_raises_when_a_step_lowers_the_objective(monkeypatch):
+    # a block minimizer in place of the maximizer: the first step falls
+    monkeypatch.setattr("vsep.cbp.solve_block_lp", lambda g, s, l, u: solve_block_lp(-g, s, l, u))
+    inst = p3_instance()
+    with pytest.raises(MonotonicityError):
+        refine(inst, pt([1, 0, 0], [0, 0, 1]), 1.0)
 
 
 def test_refine_fixed_point_returned_unchanged():
@@ -269,9 +295,8 @@ def test_refine_monotone_on_random_instances():
         inst = default_instance(g)
         p = random_fractional_point(inst, rng)
         for gamma in (0.0, 0.5, inst.gamma0):
-            log: list = []
-            refine(inst, p, gamma, step_log=log)
-            assert all(b - a >= -EPS for a, b in zip(log, log[1:]))
+            out = refine(inst, p, gamma)  # raises MonotonicityError on a falling step
+            assert objective(inst, out, gamma) >= objective(inst, p, gamma) - EPS
 
 
 def _costed_instance(rng, n):
@@ -364,8 +389,6 @@ def test_refine_stack_rejects_bad_shapes():
         refine(inst, Point(np.zeros((2, 3)), np.zeros((2, 4))), 1.0)
     with pytest.raises(DimensionMismatchError):
         refine(inst, Point(np.zeros((0, 3)), np.zeros((0, 3))), 1.0)
-    with pytest.raises(ValueError):
-        refine(inst, Point(np.zeros((2, 3)), np.zeros((2, 3))), 1.0, step_log=[])
 
 
 # ------------------------------------------------------------ round_to_binary
