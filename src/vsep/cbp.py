@@ -176,10 +176,12 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b).sum(axis=1)
 
 
-def objective(inst: CbpInstance, p: Point, gamma: float) -> float:
-    """c.(x + y) - gamma * x.B.y."""
-    x, y = _point_arrays(inst, p)
-    return float(inst.c @ (x + y) - gamma * (x @ inst.bdot(y)))
+def objective(inst: CbpInstance, p: Point, gamma: float) -> float | np.ndarray:
+    """c.(x + y) - gamma * x.B.y: a float for a single point, one value per
+    row for a (rows, n) stack."""
+    x, y = _stacked_arrays(inst, p)
+    f = _rowdot(x + y, inst.c) - gamma * _rowdot(x, inst.bdot(y))
+    return float(f[0]) if p.x.ndim == 1 else f
 
 
 def feasible(inst: CbpInstance, p: Point) -> bool:
@@ -480,7 +482,7 @@ def escape(
     rows = x.shape[0]
     gamma0 = inst.gamma0
     x, y = x.copy(), y.copy()
-    f_curr = _objectives(inst, x, y, gamma0)
+    f_curr = objective(inst, Point(x, y), gamma0)
     escapes = 0
     k = np.ones(rows, dtype=np.int64)
     while True:
@@ -490,7 +492,7 @@ def escape(
         gamma_k = gamma0 * (1.0 - k[live] / K)
         probe = refine(inst, Point(x[live], y[live]), gamma_k)
         back = refine(inst, probe, gamma0)
-        f_back = _objectives(inst, back.x, back.y, gamma0)
+        f_back = objective(inst, back, gamma0)
         better = f_back > f_curr[live] + EPS
         won = live[better]
         x[won], y[won], f_curr[won] = back.x[better], back.y[better], f_back[better]
@@ -500,11 +502,6 @@ def escape(
     if stats is not None:
         stats["escapes"] = stats.get("escapes", 0) + escapes
     return _shaped_like(p, x, y)
-
-
-def _objectives(inst: CbpInstance, x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
-    """c.(x + y) - gamma * x.B.y for each row of a stack."""
-    return _rowdot(x + y, inst.c) - gamma * _rowdot(x, inst.bdot(y))
 
 
 def partition_violations(

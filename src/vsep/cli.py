@@ -13,7 +13,6 @@ from pathlib import Path
 from .cbp import (
     DegenerateRepairError,
     InfeasibleBoundsError,
-    Partition,
     partition_violations,
 )
 from .graphs import Graph, ParseError, load_matrix_market, load_metis
@@ -112,17 +111,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     g = _load_graph(args.input, args.format)
     bounds = SolveParams(ub_fraction=args.ub_frac, la=args.lb, lb=args.lb).bounds(g.n)
-    result = brute_force_vsp(g, *bounds)
-    report: dict = {"input_path": str(args.input), "n": g.n, "feasible": result.feasible}
-    if result.feasible:
-        w: Partition = result.witness
+    best = brute_force_vsp(g, *bounds)
+    report: dict = {"input_path": str(args.input), "n": g.n, "feasible": best is not None}
+    if best is not None:
         report.update(
-            optimal_weight=result.optimal_weight,
-            a=[v + 1 for v in w.a],
-            b=[v + 1 for v in w.b],
-            separator=[v + 1 for v in w.s],
+            optimal_weight=best.separator_weight,
+            a=[v + 1 for v in best.a],
+            b=[v + 1 for v in best.b],
+            separator=[v + 1 for v in best.s],
         )
-    if result.feasible or args.output == "json":
+    if best is not None or args.output == "json":
         _emit(report, args.output)
     else:
         print("infeasible")

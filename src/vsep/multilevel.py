@@ -14,8 +14,6 @@ constraint is preserved exactly across levels.
 from __future__ import annotations
 
 import math
-from collections import deque
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +30,7 @@ from .cbp import (
     objective,
     refine,
     round_to_binary,
+    solve_block_lp,
     EPS,
 )
 from .graphs import Graph, validate
@@ -204,34 +203,19 @@ def build_hierarchy(g: Graph, params: SolveParams) -> Hierarchy:
     return Hierarchy(tuple(levels))
 
 
-def _subset_sums(s: np.ndarray) -> Iterator[int]:
-    """Bitsets of the subset sums of each prefix of s, the empty one first:
-    bit t of the i-th is set when some subset of s[:i] sums to t.  Only the
-    DP fallback keeps them all; they take O(n * s.sum()) bits."""
+def _subset_sums(s: np.ndarray) -> int:
+    """Bitset of the subset sums of s: bit t is set when some subset of s
+    sums to t."""
     bits = 1
-    yield bits
     for t in s:
         bits |= bits << int(t)
-        yield bits
+    return bits
 
 
 def _sum_reachable(bits: int, l: int, u: int) -> bool:
     """Whether the subset-sum bitset has a sum in [l, u]."""
     window = (1 << max(u - l + 1, 0)) - 1
     return ((bits >> l) & window) != 0
-
-
-def _dp_binary_side(s: np.ndarray, l: int, u: int) -> np.ndarray:
-    """Deterministic fallback: pick the smallest reachable sum in [l, u]."""
-    n = s.size
-    prefix = list(_subset_sums(s))
-    target = next(t for t in range(max(l, 0), u + 1) if (prefix[n] >> t) & 1)
-    v = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        if not (prefix[i] >> target) & 1:
-            v[i] = 1.0
-            target -= int(s[i])
-    return v
 
 
 def _random_binary_side(
@@ -247,16 +231,18 @@ def _random_binary_side(
     return v if run >= l else None
 
 
-def _random_binary_feasible(inst: CbpInstance, rng: np.random.Generator) -> Point:
+def _random_start(inst: CbpInstance, rng: np.random.Generator) -> Point:
+    """A feasible start: each side is the first of 32 greedy binary draws
+    that meets its bounds, else the block-LP vertex for random gains (at
+    most one fractional coordinate)."""
     sides = []
     for l, u in ((inst.la, inst.ua), (inst.lb, inst.ub)):
-        v = None
         for _ in range(32):
             v = _random_binary_side(inst.s, l, u, rng)
             if v is not None:
                 break
-        if v is None:
-            v = _dp_binary_side(inst.s, l, u)
+        else:
+            v = solve_block_lp(rng.random(inst.n), inst.s, l, u)
         sides.append(v)
     return Point(sides[0], sides[1])
 
@@ -267,9 +253,9 @@ def solve_coarsest(
     """Best binary orthogonal point over seeded multistarts: the first step of
     ``solve``'s walk up the hierarchy.
 
-    Each start is a random feasible binary point drawn from its own seed
-    ``(params.seed, start)``, after one subset-sum bitset of ``s`` has shown
-    that both sides' bounds are reachable at all.  All starts are refined and
+    Each start is a random feasible point (``_random_start``) drawn from its
+    own seed ``(params.seed, start)``, after one subset-sum bitset of ``s``
+    has shown that both sides' bounds are reachable at all.  All starts are refined and
     escaped together, as one (multistarts, n) stack in which every row gets
     the result it would get alone; then each is rounded, and the best
     objective at gamma0 wins (first start on ties; a start whose rounding
@@ -278,14 +264,14 @@ def solve_coarsest(
     its solution is used when strictly better.  Raises InfeasibleError when
     no binary point can satisfy the bounds.
     """
-    sums = deque(_subset_sums(inst.s), maxlen=1).pop()  # every reachable sum
+    sums = _subset_sums(inst.s)
     if not _sum_reachable(sums, inst.la, inst.ua) or not _sum_reachable(
         sums, inst.lb, inst.ub
     ):
         raise InfeasibleError("no binary point satisfies the sum bounds")
 
     starts = [
-        _random_binary_feasible(inst, np.random.default_rng((params.seed, start)))
+        _random_start(inst, np.random.default_rng((params.seed, start)))
         for start in range(params.multistarts)
     ]
     p = Point(np.stack([q.x for q in starts]), np.stack([q.y for q in starts]))
@@ -306,17 +292,16 @@ def solve_coarsest(
     # exhaustive backstop; also the tie-breaker of last resort when every
     # start failed to round and the instance is still small enough
     if inst.n <= 12 or (best is None and inst.n <= VSP_CAP):
-        result = brute_force_vsp(
+        exact = brute_force_vsp(
             _interaction_graph(inst), inst.la, inst.ua, inst.lb, inst.ub
         )
-        if not result.feasible:
-            if best is None:
-                raise InfeasibleError("exhaustive search found no valid partition")
-        else:
-            exact = _partition_point(inst.n, result.witness)
-            f = objective(inst, exact, inst.gamma0)
+        if exact is not None:
+            q = _partition_point(inst.n, exact)
+            f = objective(inst, q, inst.gamma0)
             if best is None or f > best_f + EPS:
-                best, best_f = exact, f
+                best, best_f = q, f
+        elif best is None:
+            raise InfeasibleError("exhaustive search found no valid partition")
     if best is None:
         raise InfeasibleError("no start reached a binary orthogonal point")
     return best

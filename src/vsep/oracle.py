@@ -6,8 +6,6 @@ correctness is self-evident; they are meant for tiny inputs only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cbp import InfeasibleBoundsError, Partition
@@ -18,26 +16,17 @@ class TooLargeError(ValueError):
     """Input exceeds the exhaustive-search size cap."""
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    optimal_weight: int | None
-    witness: Partition | None
-
-    @property
-    def feasible(self) -> bool:
-        return self.optimal_weight is not None
-
-
 VSP_CAP = 16
-_LOW_DIGITS = 11  # one chunk enumerates the 3^11 assignments of the last 11 vertices
+_LOW_DIGITS = 11  # one table enumerates the 3^11 assignments of the last 11 vertices
 
 
-def brute_force_vsp(graph: Graph, la: int, ua: int, lb: int, ub: int) -> OracleResult:
+def brute_force_vsp(graph: Graph, la: int, ua: int, lb: int, ub: int) -> Partition | None:
     """Exact minimum-weight separator by checking all 3^n assignments.
 
     Every vertex goes to side a, side b, or the separator; assignments with
-    an a-b edge or a size bound violation are discarded.  Ties resolve to
-    the lexicographically smallest assignment under the digit order
+    an a-b edge or a size bound violation are discarded.  Returns the
+    optimal partition, or None when no assignment is valid.  Ties resolve
+    to the lexicographically smallest assignment under the digit order
     a < b < separator, vertex 0 most significant.
     """
     n = graph.n
@@ -45,47 +34,62 @@ def brute_force_vsp(graph: Graph, la: int, ua: int, lb: int, ub: int) -> OracleR
         raise TooLargeError(f"n={n} exceeds the exhaustive cap {VSP_CAP}")
     cost = graph.vertex_cost.astype(np.int64)
     size = graph.vertex_size.astype(np.int64)
-    edge_list = [(u, v) for u, v, _ in graph.edges()]
+    rows = np.repeat(np.arange(n), np.diff(graph.indptr))
+    upper = rows < graph.indices
+    edges = list(zip(rows[upper].tolist(), graph.indices[upper].tolist()))  # u < v
 
-    # the low digits are one table in lexicographic order; each chunk in
-    # turn writes its constant high digits in front of it
+    # The last ``low`` vertices are one table in lexicographic order, with
+    # each row's side sizes, separator weight and inner-edge check computed
+    # once; each constant prefix of the first ``high`` vertices in turn adds
+    # its own sums and checks the edges that reach it.
     low = min(n, _LOW_DIGITS)
-    digits = np.empty((3**low, n), dtype=np.int8, order="F")  # columns read fast
-    digits[:, n - low :] = np.indices((3,) * low, dtype=np.int8).reshape(low, 3**low).T
+    high = n - low
+    table = np.indices((3,) * low, dtype=np.int8).reshape(low, 3**low).T  # columns read fast
+    size_a = (table == 0) @ size[high:]
+    size_b = (table == 1) @ size[high:]
+    weight = (table == 2) @ cost[high:]
+    inner_ok = np.ones(3**low, dtype=bool)
+    for u, v in edges:
+        if u >= high:
+            inner_ok &= table[:, u - high] + table[:, v - high] != 1  # 0 + 1: an a-b edge
+    top = [(u, v) for u, v in edges if v < high]
+    cross = [(u, v - high) for u, v in edges if u < high <= v]
+
     best_w: int | None = None
     best_digits: np.ndarray | None = None
-    for high in np.ndindex(*(3,) * (n - low)):
-        digits[:, : n - low] = high
-        in_a = digits == 0
-        in_b = digits == 1
-        size_a = in_a @ size
-        size_b = in_b @ size
+    for prefix in np.ndindex(*(3,) * high):
+        if any(prefix[u] + prefix[v] == 1 for u, v in top):
+            continue
+        head = np.array(prefix, dtype=np.int8)
+        head_a = int(size[:high][head == 0].sum())
+        head_b = int(size[:high][head == 1].sum())
         ok = (
-            (size_a >= la)
-            & (size_a <= ua)
-            & (size_b >= lb)
-            & (size_b <= ub)
+            inner_ok
+            & (size_a >= la - head_a)
+            & (size_a <= ua - head_a)
+            & (size_b >= lb - head_b)
+            & (size_b <= ub - head_b)
         )
-        for u, v in edge_list:
-            ok &= ~((in_a[:, u] & in_b[:, v]) | (in_b[:, u] & in_a[:, v]))
+        for u, j in cross:
+            if prefix[u] != 2:
+                ok &= table[:, j] != 1 - prefix[u]  # the low end may not take the other side
         if not ok.any():
             continue
-        weights = (digits == 2) @ cost
         idx = np.flatnonzero(ok)
-        k = idx[np.argmin(weights[idx])]  # first minimum: lexicographic tie-break
-        if best_w is None or weights[k] < best_w:
-            best_w = int(weights[k])
-            best_digits = digits[k].copy()
+        k = idx[np.argmin(weight[idx])]  # first minimum: lexicographic tie-break
+        w = int(weight[k]) + int(cost[:high][head == 2].sum())
+        if best_w is None or w < best_w:
+            best_w = w
+            best_digits = np.concatenate((head, table[k]))
 
     if best_w is None:
-        return OracleResult(None, None)
-    witness = Partition(
+        return None
+    return Partition(
         a=tuple(int(i) for i in np.flatnonzero(best_digits == 0)),
         b=tuple(int(i) for i in np.flatnonzero(best_digits == 1)),
         s=tuple(int(i) for i in np.flatnonzero(best_digits == 2)),
         separator_weight=best_w,
     )
-    return OracleResult(best_w, witness)
 
 
 _LP_CAP = 12

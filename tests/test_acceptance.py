@@ -48,13 +48,13 @@ def test_c1_oracle_equivalence_small_instances():
         try:
             part, _ = solve(g)
         except InfeasibleError:
-            assert not ref.feasible
+            assert ref is None
             continue
-        assert ref.feasible
+        assert ref is not None
         assert partition_violations(g, part, 1, ua, 1, ua) == []
-        assert ref.optimal_weight <= part.separator_weight <= ref.optimal_weight + 2
+        assert ref.separator_weight <= part.separator_weight <= ref.separator_weight + 2
         feasible_count += 1
-        matched += part.separator_weight == ref.optimal_weight
+        matched += part.separator_weight == ref.separator_weight
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
     assert matched >= 0.8 * feasible_count

@@ -9,7 +9,10 @@ from conftest import (
     path_graph,
     random_fractional_point,
 )
+import scipy.sparse as sp
+
 from vsep.cbp import (
+    CbpInstance,
     DegenerateRepairError,
     DimensionMismatchError,
     InfeasibleBoundsError,
@@ -45,6 +48,44 @@ def p3_instance(la=1, ua=1, lb=1, ub=1):
     return instance_from_graph(path_graph(3), la, ua, lb, ub)
 
 
+# ---------------------------------------------------------------- CbpInstance
+
+
+def _p3_data():
+    """n, B, c, s of P3's finest level, for building instances by hand."""
+    B = sp.csr_array(np.array([[1.0, 1, 0], [1, 1, 1], [0, 1, 1]]))
+    return 3, B, np.ones(3), np.ones(3)
+
+
+def test_instance_rejects_mismatched_dimensions():
+    n, B, c, s = _p3_data()
+    with pytest.raises(DimensionMismatchError):
+        CbpInstance(n, B[:2, :2], c, s, 1, 1, 1, 1)
+    with pytest.raises(DimensionMismatchError):
+        CbpInstance(n, B, c[:2], s, 1, 1, 1, 1)
+    with pytest.raises(DimensionMismatchError):
+        CbpInstance(n, B, c, np.ones(4), 1, 1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"c": np.array([1.0, -1, 1])},  # negative cost
+        {"s": np.array([1.0, 0.5, 1])},  # size < 1
+        {"B": sp.csr_array(np.array([[1.0, 0.5, 0], [0.5, 1, 1], [0, 1, 1]]))},  # entry < 1
+        {"B": sp.csr_array(np.array([[1.0, 1, 0], [1, 0, 1], [0, 1, 1]]))},  # zero diagonal
+        {"bounds": (2, 1, 1, 1)},  # la > ua
+        {"bounds": (1, 1, -1, 1)},  # lb < 0
+        {"bounds": (1, 4, 1, 1)},  # ua above the total size
+    ],
+)
+def test_instance_rejects_bad_data(change):
+    n, B, c, s = _p3_data()
+    B, c, s = change.get("B", B), change.get("c", c), change.get("s", s)
+    with pytest.raises(ValueError):
+        CbpInstance(n, B, c, s, *change.get("bounds", (1, 1, 1, 1)))
+
+
 # ------------------------------------------------------------------ objective
 
 
@@ -61,6 +102,14 @@ def test_objective_k2_overlapping_sides():
 def test_objective_p3_endpoints():
     inst = p3_instance()
     assert objective(inst, pt([1, 0, 0], [0, 0, 1]), 1.0) == 2.0  # B_02 = 0
+
+
+def test_objective_of_a_stack_is_each_rows_value():
+    inst = p3_instance()
+    xs, ys = [[1, 0, 0], [0.5, 0.25, 0]], [[0, 0, 1], [0, 0.5, 1]]
+    f = objective(inst, pt(xs, ys), 1.0)
+    assert f.shape == (2,)
+    assert f.tolist() == [objective(inst, pt(x, y), 1.0) for x, y in zip(xs, ys)]
 
 
 def test_objective_dimension_mismatch():
@@ -481,7 +530,7 @@ def test_extract_p3():
     assert part.separator_weight == 1
     # {1} really does separate P3 under these bounds
     ref = brute_force_vsp(path_graph(3), 1, 1, 1, 1)
-    assert ref.optimal_weight == 1 and ref.witness.s == (1,)
+    assert ref.separator_weight == 1 and ref.s == (1,)
 
 
 def test_extract_empty_separator():
@@ -627,8 +676,8 @@ def test_escape_never_hurts_and_sometimes_helps():
         improved += f_out > f_base + EPS
         # context: the bilinear maximum equals total cost minus the optimal weight
         ref = brute_force_vsp(g, inst.la, inst.ua, inst.lb, inst.ub)
-        if ref.feasible:
-            f_star = float(inst.c.sum()) - ref.optimal_weight
+        if ref is not None:
+            f_star = float(inst.c.sum()) - ref.separator_weight
             assert f_out <= f_star + EPS
     assert improved >= 1
 
@@ -647,5 +696,4 @@ def test_escape_stats_and_determinism():
 
 
 def test_k4_has_no_partition_under_tight_bounds():
-    res = brute_force_vsp(complete_graph(4), 1, 2, 1, 2)
-    assert not res.feasible
+    assert brute_force_vsp(complete_graph(4), 1, 2, 1, 2) is None

@@ -250,6 +250,14 @@ def test_bench_dimension_mismatch_is_invalid(tmp_path, capsys):
     assert "INVALID" in out
 
 
+def test_bench_short_manifest_line_exit_2(tmp_path, capsys):
+    write(tmp_path, "p5.graph", P5_METIS)
+    manifest = write(tmp_path, "m.txt", "p5 p5.graph 5 1\n")
+    code, _, err = run(capsys, "bench", str(manifest))
+    assert code == 2
+    assert "bad manifest line" in err
+
+
 def test_bench_missing_file_exit_2(tmp_path, capsys):
     write(tmp_path, "p5.graph", P5_METIS)
     manifest = write(tmp_path, "m.txt", "p5 p5.graph 5 1 1.5\nghost ghost.graph 9 1 1.5\n")

@@ -106,6 +106,14 @@ def test_mm_duplicates_collapse_and_values_ignored(tmp_path):
         "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2\n",
         "%%MatrixMarket matrix coordinate pattern general\n2 2 1\none two\n",
         "not a banner\n2 2 0\n",
+        "%%MatrixMarket vector coordinate real general\n2 2 0\n",  # object
+        "%%MatrixMarket matrix coordinate quaternion general\n2 2 0\n",  # field
+        "%%MatrixMarket matrix coordinate real diagonal\n2 2 0\n",  # symmetry
+        "%%MatrixMarket matrix coordinate real general\n% comment only\n\n",  # no size line
+        "%%MatrixMarket matrix coordinate real general\n2 2\n",  # 2-token size line
+        "%%MatrixMarket matrix coordinate real general\n2 2 x\n",  # non-integer size
+        "%%MatrixMarket matrix coordinate real general\n-1 -1 0\n",  # negative dimensions
+        "%%MatrixMarket matrix coordinate real general\n2 2 -1\n",  # negative entry count
     ],
 )
 def test_mm_malformed(tmp_path, text):
@@ -190,6 +198,9 @@ def test_metis_full_fmt(tmp_path):
         "-1 0\n",  # negative vertex count
         "2 1\n2 x\n1\n",  # non-integer token
         "2 1\n99999999999999999999\n1\n",  # token beyond int64
+        "2 x\n2\n1\n",  # non-integer header
+        "2 1 10 x\n1 2\n1 1\n",  # non-integer ncon
+        "2 1\n2\n1\n1\n",  # a non-empty line past vertex n
     ],
 )
 def test_metis_malformed(tmp_path, text):
@@ -262,6 +273,11 @@ def _metis_outcome(load, text):
     if isinstance(res, Graph):
         res = (res.n, {(u, v): w for u, v, w in res.edges()}, res.vertex_cost.tolist(), res.vertex_size.tolist())
     return res
+
+
+def test_metis_blank_lines_past_last_vertex_load(tmp_path):
+    g = load_metis(write(tmp_path, "p2.graph", "2 1\n2\n1\n\n  \n"))
+    assert g.n == 2 and g.m == 1
 
 
 def test_metis_first_faulty_line_decides(tmp_path):
@@ -518,6 +534,14 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(2, [(0, 5)])
     with pytest.raises(ValueError):
         Graph.from_edges(2, np.zeros((1, 4), dtype=np.int64))
+    with pytest.raises(ValueError, match="length n"):
+        Graph.from_edges(2, [(0, 1)], vertex_cost=[1, 1, 1])
+    with pytest.raises(ValueError, match="length n"):
+        Graph.from_edges(2, [(0, 1)], vertex_size=[1])
+    with pytest.raises(ValueError, match="costs"):
+        Graph.from_edges(2, [(0, 1)], vertex_cost=[1, -1])
+    with pytest.raises(ValueError, match="sizes"):
+        Graph.from_edges(2, [(0, 1)], vertex_size=[1, 0])
 
 
 def _from_edges_loop(n, edges, vertex_cost=None, vertex_size=None):

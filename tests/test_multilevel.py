@@ -16,6 +16,7 @@ from vsep.cbp import (
     DegenerateRepairError,
     Point,
     escape,
+    feasible,
     instance_from_graph,
     objective,
     partition_violations,
@@ -27,8 +28,7 @@ from vsep.multilevel import (
     InfeasibleError,
     Level,
     SolveParams,
-    _dp_binary_side,
-    _random_binary_feasible,
+    _random_start,
     _subset_sums,
     _sum_reachable,
     ascending_degree_order,
@@ -322,24 +322,12 @@ def test_solve_coarsest_unreachable_sums():
         solve_coarsest(inst, SolveParams())
 
 
-def _dp_side_reference(s, l, u):
-    """The former reachability check and DP fallback, each with its own bitset."""
-    bits = 1
-    for t in s:
-        bits |= bits << int(t)
-    hi = min(u, int(s.sum()))
-    if l > hi or not (bits >> l) & ((1 << (hi - l + 1)) - 1):
-        return None
-    prefix = [1]
-    for t in s:
-        prefix.append(prefix[-1] | (prefix[-1] << int(t)))
-    target = next(t for t in range(max(l, 0), hi + 1) if (prefix[-1] >> t) & 1)
-    v = np.zeros(s.size)
-    for i in range(s.size - 1, -1, -1):
-        if not (prefix[i] >> target) & 1:
-            v[i] = 1.0
-            target -= int(s[i])
-    return v
+def _reachable_reference(s, l, u):
+    """Whether some subset of s sums into [l, u], from the set of all subset sums."""
+    sums = {0}
+    for t in s.astype(int).tolist():
+        sums |= {x + t for x in sums}
+    return any(l <= x <= u for x in sums)
 
 
 def test_subset_sum_table_matches_reference():
@@ -350,14 +338,25 @@ def test_subset_sum_table_matches_reference():
         total = int(s.sum())
         l = int(rng.integers(0, total + 2))
         u = int(rng.integers(l - 1, total + 3))
-        prefix = list(_subset_sums(s))
-        assert len(prefix) == n + 1 and prefix[-1].bit_length() == total + 1
-        ref = _dp_side_reference(s, l, u)
-        assert _sum_reachable(prefix[-1], l, u) == (ref is not None)
-        if ref is not None:
-            v = _dp_binary_side(s, l, u)
-            assert v.tobytes() == ref.tobytes()
-            assert l <= float(s @ v) <= u
+        bits = _subset_sums(s)
+        assert bits.bit_length() == total + 1
+        assert _sum_reachable(bits, l, u) == _reachable_reference(s, l, u)
+
+
+def test_random_start_falls_back_to_the_block_lp(monkeypatch):
+    monkeypatch.setattr("vsep.multilevel._random_binary_side", lambda *args: None)
+    params = SolveParams(coarsest_size=30, multistarts=4)
+    inst = build_hierarchy(gnp(120, 0.06, seed=7001), params).levels[-1].inst
+    assert inst.n > 16 and inst.s.max() > 1  # an aggregated level, no exhaustive backstop
+    p = _random_start(inst, np.random.default_rng(0))
+    assert feasible(inst, p)
+    for v in (p.x, p.y):
+        assert np.count_nonzero((v > 0) & (v < 1)) <= 1
+
+    q = solve_coarsest(inst, params)
+    assert np.all((q.x == 0) | (q.x == 1)) and np.all((q.y == 0) | (q.y == 1))
+    assert float(q.x @ inst.B @ q.y) == 0.0
+    assert feasible(inst, q)
 
 
 def _multistart_loop(inst, params, stats):
@@ -365,7 +364,7 @@ def _multistart_loop(inst, params, stats):
     (without its exhaustive backstop for n <= 16)."""
     best, best_f = None, -math.inf
     for start in range(params.multistarts):
-        p = _random_binary_feasible(inst, np.random.default_rng((params.seed, start)))
+        p = _random_start(inst, np.random.default_rng((params.seed, start)))
         try:
             p = refine(inst, p, inst.gamma0)
             p = escape(inst, p, gamma_steps=params.gamma_steps, stats=stats)
@@ -498,3 +497,5 @@ def test_params_validation():
         SolveParams(coarsest_size=1)
     with pytest.raises(ValueError):
         SolveParams(multistarts=0)
+    with pytest.raises(ValueError):
+        SolveParams(gamma_steps=0)

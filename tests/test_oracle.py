@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import complete_graph, empty_graph, gnp, path_graph
 from vsep.cbp import InfeasibleBoundsError, partition_violations, solve_block_lp
+from vsep.graphs import Graph
 from vsep.oracle import TooLargeError, brute_force_lp, brute_force_vsp
 
 EPS = 1e-9
@@ -14,23 +16,21 @@ EPS = 1e-9
 
 
 def test_vsp_p5():
-    res = brute_force_vsp(path_graph(5), 1, 2, 1, 2)
-    assert res.optimal_weight == 1
-    assert res.witness.s == (2,)
-    assert res.witness.a == (0, 1)  # lexicographically smallest optimum
-    assert res.witness.b == (3, 4)
+    best = brute_force_vsp(path_graph(5), 1, 2, 1, 2)
+    assert best.separator_weight == 1
+    assert best.s == (2,)
+    assert best.a == (0, 1)  # lexicographically smallest optimum
+    assert best.b == (3, 4)
 
 
 def test_vsp_k4_infeasible():
-    res = brute_force_vsp(complete_graph(4), 1, 2, 1, 2)
-    assert not res.feasible
-    assert res.witness is None
+    assert brute_force_vsp(complete_graph(4), 1, 2, 1, 2) is None
 
 
 def test_vsp_two_isolated():
-    res = brute_force_vsp(empty_graph(2), 1, 1, 1, 1)
-    assert res.optimal_weight == 0
-    assert res.witness.s == ()
+    best = brute_force_vsp(empty_graph(2), 1, 1, 1, 1)
+    assert best.separator_weight == 0
+    assert best.s == ()
 
 
 def test_vsp_too_large():
@@ -43,8 +43,7 @@ def test_vsp_respects_costs():
     from vsep.graphs import Graph
 
     g = Graph.from_edges(3, [(0, 1), (1, 2)], vertex_cost=[1, 7, 1])
-    res = brute_force_vsp(g, 1, 1, 1, 1)
-    assert res.optimal_weight == 7
+    assert brute_force_vsp(g, 1, 1, 1, 1).separator_weight == 7
 
 
 def test_vsp_witness_always_valid():
@@ -55,9 +54,56 @@ def test_vsp_witness_always_valid():
         ua = math.floor(0.503 * n)
         if ua < 1:
             continue
-        res = brute_force_vsp(g, 1, ua, 1, ua)
-        if res.feasible:
-            assert partition_violations(g, res.witness, 1, ua, 1, ua) == []
+        best = brute_force_vsp(g, 1, ua, 1, ua)
+        if best is not None:
+            assert partition_violations(g, best, 1, ua, 1, ua) == []
+
+
+def _vsp_loop(g, la, ua, lb, ub):
+    """(weight, digits) of the first optimal assignment in itertools.product
+    order (0 = a, 1 = b, 2 = separator), or None: one assignment at a time."""
+    edges = [(u, v) for u, v, _ in g.edges()]
+    best = None
+    for digits in itertools.product(range(3), repeat=g.n):
+        if any(digits[u] + digits[v] == 1 for u, v in edges):
+            continue
+        side = [sum(int(g.vertex_size[i]) for i in range(g.n) if digits[i] == k) for k in (0, 1)]
+        if not (la <= side[0] <= ua and lb <= side[1] <= ub):
+            continue
+        w = sum(int(g.vertex_cost[i]) for i in range(g.n) if digits[i] == 2)
+        if best is None or w < best[0]:
+            best = (w, digits)
+    return best
+
+
+@pytest.mark.parametrize("low", [3, 11])
+def test_vsp_matches_assignment_loop(monkeypatch, low):
+    # a table of 3 low digits sends n = 4..8 through the per-prefix sums and
+    # the prefix-prefix and prefix-table edge checks
+    monkeypatch.setattr("vsep.oracle._LOW_DIGITS", low)
+    rng = np.random.default_rng(41)
+    feasible = 0
+    for trial in range(80):
+        n = int(rng.integers(0, 9))
+        iu, ju = np.triu_indices(n, 1)
+        keep = rng.random(iu.size) < float(rng.choice([0.2, 0.5]))
+        size = rng.integers(1, 4, size=n)
+        g = Graph.from_edges(n, np.column_stack((iu[keep], ju[keep])), rng.integers(0, 5, size=n), size)
+        total = int(size.sum())
+        la, lb = (int(rng.integers(0, total // 3 + 2)) for _ in range(2))
+        ua, ub = (int(rng.integers(l, total // 2 + 2)) for l in (la, lb))
+        best = brute_force_vsp(g, la, ua, lb, ub)
+        ref = _vsp_loop(g, la, ua, lb, ub)
+        if ref is None:
+            assert best is None
+            continue
+        feasible += 1
+        w, digits = ref
+        assert best.separator_weight == w
+        assert (best.a, best.b, best.s) == tuple(
+            tuple(i for i in range(n) if digits[i] == k) for k in range(3)
+        )
+    assert feasible >= 40
 
 
 # ------------------------------------------------------------- brute_force_lp
