@@ -4,8 +4,9 @@ The program maximizes  c.(x + y) - gamma * x.B.y  over the box [0,1]^n
 with sum constraints  la <= s.x <= ua  and  lb <= s.y <= ub.  At the
 finest level B is the adjacency matrix plus the identity and s is all
 ones; coarse levels aggregate both.  With gamma at its initial value
-(the largest cost), binary points with x.B.y = 0 encode vertex
-separators: A = {x_i = 1}, B = {y_i = 1}, S = the rest.
+(the largest cost, or 1 when every cost is 0), binary points with
+x.B.y = 0 encode vertex separators: A = {x_i = 1}, B = {y_i = 1}, S =
+the rest.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ class CbpInstance:
 
     ``B`` is symmetric with positive integer entries; its diagonal is >= 1
     everywhere and its off-diagonal support is exactly the interaction
-    (edge/aggregate) structure.  ``gamma0`` is derived as max(c).
+    (edge/aggregate) structure.  ``gamma0`` is derived as max(c), or 1 when
+    every cost is 0: the penalty must stay positive to keep x and y apart.
     """
 
     n: int
@@ -92,7 +94,7 @@ class CbpInstance:
         total = float(s.sum())
         if not (0 <= self.la <= self.ua <= total and 0 <= self.lb <= self.ub <= total):
             raise ValueError(f"bad bounds la={self.la} ua={self.ua} lb={self.lb} ub={self.ub} (s total {total})")
-        object.__setattr__(self, "gamma0", float(c.max()) if self.n else 0.0)
+        object.__setattr__(self, "gamma0", max(float(c.max()), 1.0) if self.n else 0.0)
         dense = B.toarray() if self.n <= _DENSE_LIMIT else None
         object.__setattr__(self, "_dense", dense)
 
@@ -305,10 +307,12 @@ def round_to_binary(inst: CbpInstance, p: Point) -> Point:
     one endpoint.  A block with several fractional coordinates first moves
     to its block-LP optimum at gamma0, which has at most one; the points
     that refine and escape return are such vertices already.  The last
-    fractional coordinate then takes the best available objective
-    direction, so the objective never decreases unless it sits pinned on
-    a sum bound where a lossless binary completion of its block does not
-    exist.  Raises DegenerateRepairError when clearing an interaction
+    fractional coordinate is driven toward the side its gain prefers; if
+    that try gets stuck on a sum bound, the other side is tried from where
+    the first try stopped, its moves kept.  The objective never decreases
+    unless it sits pinned on a sum bound where a lossless binary
+    completion of its block does not exist.  Raises DegenerateRepairError
+    when neither side can be reached, or when clearing an interaction
     would push both sides below their lower bounds.
     """
     if not feasible(inst, p):
@@ -336,8 +340,10 @@ def _defractionalize(v: np.ndarray, grad: np.ndarray, s: np.ndarray, l: int, u: 
 
     A block with two or more fractional coordinates first moves to its
     block-LP optimum, which raises grad.v and leaves at most one fractional
-    coordinate; that one is finished toward its preferred side, else the
-    other."""
+    coordinate.  That one is finished toward its preferred side (1 when its
+    gain is positive).  A try that fails leaves its moves in v, and the
+    try toward the other side starts from there; DegenerateRepairError
+    when that one fails too."""
     frac = np.flatnonzero((v > 0.0) & (v < 1.0))
     if frac.size >= 2:
         v[:] = solve_block_lp(grad, s, l, u)
@@ -356,40 +362,32 @@ def _finish_single(
 ) -> bool:
     """Try to drive the single fractional v_i to ``toward`` (0 or 1).
 
-    Moves v_i directly while the sum constraint allows; once pinned on a
-    sum bound, continues along sum-preserving directions s_k*e_i - s_i*e_k
-    with binary partners k.  Partners whose size matches the remaining
-    fractional mass finish the pair exactly; smaller partners flip fully
-    and shrink the mass.  Within a class, the partner with the best
-    objective slope wins, ties toward the lower index.  Returns False when
-    the mass cannot be placed this way (the caller then tries the other
-    direction, which is not pinned).
+    One walk serves both directions, with d = 1 toward 1 and d = -1 toward
+    0.  v_i moves directly as far as the sum bound ahead allows; once
+    pinned there, its remaining mass |toward - v_i| * s_i goes to partners
+    k with v_k = toward along sum-preserving directions.  A partner whose
+    size matches the mass finishes the move; else the best smaller partner
+    flips to 1 - toward and v_i moves by s_k / s_i.  The best slope
+    d * (grad_i * s_k - s_i * grad_k) wins, ties toward the lower index.
+    Returns False when no partner fits; v then keeps the walk's moves
+    (v_i on the sum bound, nearer ``toward``, and the flipped partners).
     """
+    d = 1.0 if toward else -1.0
     sv = float(s @ v)
-    if toward == 1:
-        room = max((u - sv) / s[i], 0.0)
-        if 1.0 - v[i] <= room:
-            v[i] = 1.0
-            return True
-        v[i] += room  # now pinned at s.v = u
-    else:
-        room = max((sv - l) / s[i], 0.0)
-        if v[i] <= room:
-            v[i] = 0.0
-            return True
-        v[i] -= room  # now pinned at s.v = l
+    slack = u - sv if toward else sv - l
+    room = max(slack / s[i], 0.0)
+    if abs(toward - v[i]) <= room:
+        v[i] = float(toward)
+        return True
+    v[i] += d * room  # now pinned on the sum bound
 
+    scores = d * (grad[i] * s - s[i] * grad)
     while True:
-        mass = (1.0 - v[i]) * s[i] if toward == 1 else v[i] * s[i]
+        mass = abs(toward - v[i]) * s[i]
         if mass <= EPS:
             v[i] = float(toward)
             return True
-        if toward == 1:
-            candidates = np.flatnonzero(v == 1.0)  # partners yield size to v_i
-            scores = grad[i] * s - s[i] * grad
-        else:
-            candidates = np.flatnonzero(v == 0.0)  # partners take size from v_i
-            scores = s[i] * grad - grad[i] * s
+        candidates = np.flatnonzero(v == toward)
         candidates = candidates[candidates != i]
         if candidates.size == 0:
             return False
@@ -398,14 +396,14 @@ def _finish_single(
         if exact.size:
             k = int(exact[np.argmax(scores[exact])])
             v[i] = float(toward)
-            v[k] = 1.0 - float(toward)
+            v[k] = 1.0 - toward
             return True
-        saturating = candidates[s[candidates] < mass]
-        if not saturating.size:
+        smaller = candidates[s[candidates] < mass]
+        if not smaller.size:
             return False
-        k = int(saturating[np.argmax(scores[saturating])])
-        v[k] = 1.0 - float(toward)
-        v[i] += s[k] / s[i] if toward == 1 else -s[k] / s[i]
+        k = int(smaller[np.argmax(scores[smaller])])
+        v[k] = 1.0 - toward
+        v[i] += d * s[k] / s[i]
 
 
 def _orthogonality_repair(inst: CbpInstance, x: np.ndarray, y: np.ndarray) -> None:

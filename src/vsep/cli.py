@@ -24,6 +24,9 @@ EXIT_INFEASIBLE = 3
 EXIT_INVALID = 4
 EXIT_TOO_LARGE = 5
 
+# what a solve raises for bounds or a hierarchy it cannot satisfy: exit 3
+INFEASIBLE_ERRORS = (InfeasibleError, InfeasibleBoundsError, DegenerateRepairError)
+
 
 def _load_graph(path: str, fmt: str | None) -> Graph:
     p = Path(path)
@@ -152,11 +155,20 @@ def cmd_bench(args: argparse.Namespace) -> int:
             missing.append(f"{name}: {path}")
             continue
         g = _load_graph(str(path), None)
+        sparsity = 2 * g.m / (g.n * (g.n - 1)) if g.n > 1 else 0.0
         start = time.perf_counter()
-        part, _ = solve(g, params)
+        try:
+            part, _ = solve(g, params)
+        except INFEASIBLE_ERRORS:
+            wall = time.perf_counter() - start
+            all_ok = False
+            print(
+                f"{name:<12} {g.n:>6} {sparsity:>9.4f} {'':>6} "
+                f"{ref_sep:>6} {'':>6} {wall:>7.1f}  INFEASIBLE"
+            )
+            continue
         wall = time.perf_counter() - start
         problems = partition_violations(g, part, *params.bounds(g.n))
-        sparsity = 2 * g.m / (g.n * (g.n - 1)) if g.n > 1 else 0.0
         if ref_sep:
             ratio = part.separator_weight / ref_sep
         else:  # a zero reference is matched only by a zero separator
@@ -216,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
-    except (InfeasibleError, InfeasibleBoundsError, DegenerateRepairError) as exc:
+    except INFEASIBLE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (ParseError, OSError, ValueError) as exc:

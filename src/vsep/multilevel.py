@@ -14,6 +14,7 @@ constraint is preserved exactly across levels.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,9 @@ class SolveParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("la", "lb", "coarsest_size", "gamma_steps", "multistarts", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 0 < self.ub_fraction <= 1:
             raise ValueError("ub_fraction must be in (0, 1]")
         if self.coarsest_size < 2:
@@ -67,6 +71,8 @@ class SolveParams:
             raise ValueError("gamma_steps must be >= 1")
         if self.la < 0 or self.lb < 0:
             raise ValueError("lower bounds must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def bounds(self, n: int) -> tuple[int, int, int, int]:
         """Side-size bounds (la, ua, lb, ub) for an n-vertex graph."""

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,8 @@ from vsep.cbp import (
     refine,
     round_to_binary,
     solve_block_lp,
+    _defractionalize,
+    _finish_single,
 )
 from vsep.graphs import Graph
 from vsep.multilevel import SolveParams, build_hierarchy
@@ -55,6 +59,13 @@ def _p3_data():
     """n, B, c, s of P3's finest level, for building instances by hand."""
     B = sp.csr_array(np.array([[1.0, 1, 0], [1, 1, 1], [0, 1, 1]]))
     return 3, B, np.ones(3), np.ones(3)
+
+
+def test_gamma0_is_the_largest_cost_or_1():
+    n, B, _, s = _p3_data()
+    assert CbpInstance(n, B, np.array([2.0, 5, 0]), s, 1, 1, 1, 1).gamma0 == 5.0
+    # with every cost 0, a penalty of 0 would let x and y overlap freely
+    assert CbpInstance(n, B, np.zeros(3), s, 1, 1, 1, 1).gamma0 == 1.0
 
 
 def test_instance_rejects_mismatched_dimensions():
@@ -518,6 +529,118 @@ def test_round_contract_on_random_points():
                 _assert_round_contract(level.inst, random_fractional_point(level.inst, rng))
 
 
+def test_round_raises_when_neither_direction_finishes():
+    # x_1 = 0.5 of size 2 sits on s.x = ua = 1; no partner can take or give its mass
+    inst = CbpInstance(2, sp.eye_array(2, format="csr"), np.ones(2), np.array([3.0, 2.0]), 1, 1, 0, 5)
+    with pytest.raises(DegenerateRepairError, match="no move can finish coordinate 1"):
+        round_to_binary(inst, pt([0, 0.5], [0, 0]))
+
+
+def test_round_rejects_an_infeasible_point():
+    with pytest.raises(ValueError, match="requires a feasible point"):
+        round_to_binary(p3_instance(), pt([1, 1, 0], [0, 0, 1]))  # s.x = 2 > ua
+
+
+def _defractionalize_ref(v, grad, s, l, u):
+    """The two-branch rounding of a block that the one walk replaced, kept
+    verbatim as the bit-for-bit reference."""
+    frac = np.flatnonzero((v > 0.0) & (v < 1.0))
+    if frac.size >= 2:
+        v[:] = solve_block_lp(grad, s, l, u)
+        frac = np.flatnonzero((v > 0.0) & (v < 1.0))
+    if not frac.size:
+        return
+    i = frac[0]
+    preferred = 1 if grad[i] > 0 else 0  # ties go toward 0
+    if not _finish_single_ref(v, grad, s, l, u, i, preferred):
+        if not _finish_single_ref(v, grad, s, l, u, i, 1 - preferred):
+            raise DegenerateRepairError(f"no move can finish coordinate {i}")
+
+
+def _finish_single_ref(v, grad, s, l, u, i, toward):
+    sv = float(s @ v)
+    if toward == 1:
+        room = max((u - sv) / s[i], 0.0)
+        if 1.0 - v[i] <= room:
+            v[i] = 1.0
+            return True
+        v[i] += room  # now pinned at s.v = u
+    else:
+        room = max((sv - l) / s[i], 0.0)
+        if v[i] <= room:
+            v[i] = 0.0
+            return True
+        v[i] -= room  # now pinned at s.v = l
+
+    while True:
+        mass = (1.0 - v[i]) * s[i] if toward == 1 else v[i] * s[i]
+        if mass <= EPS:
+            v[i] = float(toward)
+            return True
+        if toward == 1:
+            candidates = np.flatnonzero(v == 1.0)  # partners yield size to v_i
+            scores = grad[i] * s - s[i] * grad
+        else:
+            candidates = np.flatnonzero(v == 0.0)  # partners take size from v_i
+            scores = s[i] * grad - grad[i] * s
+        candidates = candidates[candidates != i]
+        if candidates.size == 0:
+            return False
+
+        exact = candidates[np.abs(s[candidates] - mass) <= EPS]
+        if exact.size:
+            k = int(exact[np.argmax(scores[exact])])
+            v[i] = float(toward)
+            v[k] = 1.0 - float(toward)
+            return True
+        saturating = candidates[s[candidates] < mass]
+        if not saturating.size:
+            return False
+        k = int(saturating[np.argmax(scores[saturating])])
+        v[k] = 1.0 - float(toward)
+        v[i] += s[k] / s[i] if toward == 1 else -s[k] / s[i]
+
+
+def _rounded_block(defractionalize, v, grad, s, l, u):
+    """The bytes of v after ``defractionalize`` and the message it raised, if any."""
+    v = v.copy()
+    try:
+        defractionalize(v, grad, s, l, u)
+    except DegenerateRepairError as exc:
+        return v.tobytes(), str(exc)
+    return v.tobytes(), None
+
+
+def test_defractionalize_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    outcomes = {"finished": 0, "raised": 0}
+    for trial in range(10_000):
+        n = int(rng.integers(2, 10))
+        s = rng.uniform(1, 4, n) if trial % 3 == 2 else rng.integers(1, 6, n).astype(float)
+        v = rng.integers(0, 2, n).astype(float)
+        v[rng.integers(n)] = rng.random()
+        sv = float(s @ v)
+        l = max(0, math.floor(sv) - int(rng.integers(0, 3)))
+        u = math.ceil(sv) + int(rng.integers(0, 3))
+        grad = rng.integers(-3, 4, n).astype(float) if rng.random() < 0.5 else rng.normal(size=n)
+        got = _rounded_block(_defractionalize, v, grad, s, l, u)
+        assert got == _rounded_block(_defractionalize_ref, v, grad, s, l, u)
+        outcomes["raised" if got[1] else "finished"] += 1
+    assert min(outcomes.values()) >= 100  # both outcomes are exercised
+
+
+def test_finish_keeps_a_failed_try():
+    s, grad = np.array([3.0, 1, 1]), np.array([5.0, 4, -1])
+    v = np.array([1 / 3, 1, 0])
+    _defractionalize(v, grad, s, 0, 2)
+    # the try toward 1 flips partner 1 to 0 and leaves v_0 = 2/3; the try
+    # toward 0 starts from there, with s.v = 2 still
+    assert np.array_equal(v, [0, 0, 0])
+    restored = np.array([1 / 3, 1, 0])
+    assert _finish_single(restored, grad, s, 0, 2, 0, 0)
+    assert np.array_equal(restored, [0, 1, 0])  # what restoring v first would give
+
+
 # ---------------------------------------------------------- extract_partition
 
 
@@ -556,6 +679,11 @@ def test_extract_rejects_fractional():
 
     with pytest.raises(NotBinaryError):
         extract_partition(inst, pt([0.5, 0], [0, 1]))
+
+
+def test_extract_rejects_a_point_outside_the_sum_bounds():
+    with pytest.raises(ValueError, match="point violates the sum bounds"):
+        extract_partition(p3_instance(), pt([1, 0, 0], [0, 0, 0]))  # s.y = 0 < lb
 
 
 def test_extract_matches_graph_adjacency():

@@ -125,6 +125,23 @@ def test_solve_contradictory_bounds_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_solve_zero_cost_path_exit_0(tmp_path, capsys):
+    # P20 with every vertex weight 0 (fmt 10: a cost before each neighbour list)
+    rows = [" ".join(["0"] + [str(j + 1) for j in (i - 1, i + 1) if 0 <= j < 20]) for i in range(20)]
+    f = write(tmp_path, "p20.graph", "20 19 10\n" + "\n".join(rows) + "\n")
+    code, out, err = run(capsys, "solve", str(f))
+    assert (code, err) == (0, "")
+    assert "separator_weight: 0" in out
+
+
+def test_solve_negative_seed_exit_2(tmp_path, capsys):
+    f = write(tmp_path, "p5.graph", P5_METIS)
+    code, out, err = run(capsys, "solve", str(f), "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "seed" in err
+
+
 def test_solve_format_override(tmp_path, capsys):
     f = write(tmp_path, "p5.txt", P5_METIS)
     code, out, _ = run(capsys, "solve", str(f), "--format", "metis")
@@ -240,6 +257,19 @@ def test_bench_zero_reference_met_by_zero_separator(tmp_path, capsys):
     assert code == 1
     row = [ln for ln in out.splitlines() if ln.startswith("p5")][0]
     assert " inf " in row and "ABOVE-THRESHOLD" in row
+
+
+def test_bench_infeasible_row_does_not_end_the_table(tmp_path, capsys):
+    write(tmp_path, "k4.graph", K4_METIS)
+    write(tmp_path, "p5.graph", P5_METIS)
+    manifest = write(tmp_path, "m.txt", "k4 k4.graph 4 1 1.5\np5 p5.graph 5 1 1.5\n")
+    code, out, err = run(capsys, "bench", str(manifest))
+    assert code == 1
+    assert err == ""
+    rows = {ln.split()[0]: ln.split() for ln in out.splitlines()[1:]}
+    assert rows["k4"][1:4] == ["4", "1.0000", "1"]  # n, sparsity, ref; no |S| or ratio
+    assert rows["k4"][-1] == "INFEASIBLE"
+    assert rows["p5"][-1] == "ok"
 
 
 def test_bench_dimension_mismatch_is_invalid(tmp_path, capsys):

@@ -122,6 +122,12 @@ def test_mm_malformed(tmp_path, text):
         load_matrix_market(f)
 
 
+def test_mm_malformed_value(tmp_path):
+    f = write(tmp_path, "bad.mtx", "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 abc\n")
+    with pytest.raises(ParseError, match="malformed entry: '1 2 abc'"):
+        load_matrix_market(f)
+
+
 def test_mm_output_always_validates(tmp_path):
     rng = np.random.default_rng(7)
     for trial in range(20):

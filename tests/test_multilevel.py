@@ -452,6 +452,31 @@ def test_solve_multilevel_path_uses_hierarchy():
     assert part.separator_weight <= 15  # a straight cut costs 10
 
 
+def _zero_costs(g):
+    return Graph(g.n, g.indptr, g.indices, g.weights, np.zeros(g.n, dtype=np.int64), g.vertex_size)
+
+
+@pytest.mark.parametrize(
+    "make, params",
+    [
+        (lambda: path_graph(100), SolveParams()),
+        (lambda: path_graph(100), SolveParams(coarsest_size=8)),
+        (lambda: grid_graph(5, 5), SolveParams()),
+        (lambda: grid_graph(12, 12), SolveParams()),
+        (lambda: grid_graph(30, 30), SolveParams()),
+        (lambda: cycle_graph(200), SolveParams()),
+        (lambda: gnp(150, 0.03, seed=1), SolveParams()),
+    ],
+    ids=["path100", "path100-coarsest8", "grid5", "grid12", "grid30", "cycle200", "gnp150"],
+)
+def test_solve_zero_cost_graphs(make, params):
+    # with every cost 0 the penalty must still keep the two sides apart
+    g = _zero_costs(make())
+    part, _ = solve(g, params)
+    assert part.separator_weight == 0
+    assert partition_violations(g, part, *params.bounds(g.n)) == []
+
+
 def test_solve_rounds_only_block_lp_vertices(monkeypatch):
     # refine and escape hand rounding block-LP vertices, which have at most
     # one fractional coordinate per block
@@ -499,3 +524,11 @@ def test_params_validation():
         SolveParams(multistarts=0)
     with pytest.raises(ValueError):
         SolveParams(gamma_steps=0)
+    with pytest.raises(ValueError, match="seed"):
+        SolveParams(seed=-1)
+    non_integers = {"la": 0.5, "lb": 1.0, "coarsest_size": 2.5, "gamma_steps": 2.5, "multistarts": "3", "seed": 1.5}
+    for name, value in non_integers.items():
+        with pytest.raises(ValueError, match=name):
+            SolveParams(**{name: value})
+    # numpy integers are integers
+    assert SolveParams(la=np.int64(2), seed=np.uint32(5)).bounds(10) == (2, 5, 1, 5)
