@@ -203,7 +203,7 @@ def feasible(inst: CbpInstance, p: Point) -> bool:
 
 
 def solve_block_lp(g: Sequence[float], s: Sequence[float], l: int, u: int) -> np.ndarray:
-    """Maximize g.v over 0 <= v <= 1 with l <= s.v <= u.
+    """Maximize g.v over 0 <= v <= 1 with l <= s.v <= u, for sizes s > 0.
 
     ``g`` is one gain vector of shape (n,) or a stack of shape (rows, n);
     each row is solved on its own and the result has the shape of ``g``.
@@ -214,6 +214,21 @@ def solve_block_lp(g: Sequence[float], s: Sequence[float], l: int, u: int) -> np
     fits is 1, the next one takes the rest fractionally, and all later
     items are 0.  The result is a vertex of the polytope with at most one
     fractional coordinate.
+
+    A row sorts only what its answer depends on.  With integer sizes P is
+    exact in any summation order, and each row falls in one of three
+    classes:
+
+    - l <= P <= u: the answer is 1 on the positive items and 0 elsewhere;
+      no sort;
+    - P > u: the fill ends among the positive items; when the row is the
+      only one of its stack outside the bounds, it sorts only those;
+    - P < l: the fill runs past the positive items; the full sort.
+
+    A stack with a row short of l or with two or more rows outside the
+    bounds, and any stack with non-integer sizes, sorts all its rows in
+    one batch: for the small stacks that occur, one batched sort costs
+    less than sorting the rows one by one.
     """
     g = np.asarray(g, dtype=np.float64)
     s = np.ascontiguousarray(s, dtype=np.float64)
@@ -224,12 +239,28 @@ def solve_block_lp(g: Sequence[float], s: Sequence[float], l: int, u: int) -> np
         raise InfeasibleBoundsError(f"bounds l={l} u={u} unreachable with s total {total}")
 
     G = g if g.ndim == 2 else g[None]
+    pos = G > 0
+    size = np.dot(pos, s).tolist()  # P of each row, summed in index order
+    hard = [i for i, p in enumerate(size) if not l <= p <= u]
+    if len(hard) > 1 or (hard and size[hard[0]] < l) or not (np.floor(s) == s).all():
+        v = _sorted_fill(G, pos, s, l, u)
+    else:
+        v = pos.astype(np.float64)  # the rows within the bounds are done
+        if hard:
+            i = hard[0]
+            v[i] = 0.0
+            _positive_fill(v[i], G[i], pos[i], s, u)
+    return v if g.ndim == 2 else v[0]
+
+
+def _sorted_fill(G: np.ndarray, pos: np.ndarray, s: np.ndarray, l: int, u: int) -> np.ndarray:
+    """The greedy fill of every row of G from a full sort; ``pos`` is G > 0."""
     rows, n = G.shape
     order = np.argsort(G / -s, axis=1, kind="stable")  # ratio descending, ties by index
     cums = np.zeros((rows, n + 1))  # cums[:, t]: size of the first t items; rises strictly
     np.cumsum(s[order], axis=1, out=cums[:, 1:])
     r = np.arange(rows)
-    fill = np.minimum(np.maximum(cums[r, (G > 0).sum(axis=1)], l), u)
+    fill = np.minimum(np.maximum(cums[r, pos.sum(axis=1)], l), u)
     full = (cums[:, 1:] <= fill[:, None]).sum(axis=1)  # items that fit whole
     rest = fill - cums[r, full]  # the size left for the next item
 
@@ -239,7 +270,21 @@ def solve_block_lp(g: Sequence[float], s: Sequence[float], l: int, u: int) -> np
         row[o[:f]] = 1.0
         if left and f < n:  # f == n when rounding leaves the sizes' sum short of l
             row[o[f]] = left / s[o[f]]
-    return v if g.ndim == 2 else v[0]
+    return v
+
+
+def _positive_fill(row: np.ndarray, g: np.ndarray, pos: np.ndarray, s: np.ndarray, u: int) -> None:
+    """Write the greedy fill of one gain vector whose positive items (``pos``)
+    overrun u into the zeroed ``row``: the fill is u and ends among them,
+    so only they are sorted."""
+    items = np.flatnonzero(pos)
+    order = items[np.argsort(g[items] / -s[items], kind="stable")]
+    cums = np.cumsum(s[order])
+    full = int(np.searchsorted(cums, u, side="right"))  # < len(order), as cums[-1] > u
+    row[order[:full]] = 1.0
+    rest = u - cums[full - 1] if full else float(u)
+    if rest:
+        row[order[full]] = rest / s[order[full]]
 
 
 def refine(inst: CbpInstance, p: Point, gamma: float | np.ndarray) -> Point:
@@ -474,6 +519,11 @@ def escape(
     own k, current point and objective, and gets the result it would get
     on its own.  ``stats["escapes"]`` grows by the accepted improvements
     of all rows.
+
+    A probe that returns the current point bit for bit would re-refine to
+    the same point as the current point's own re-refine at gamma0.  Once
+    that re-refine has lost, the row is stale: such probes skip it, and
+    accepting a new point clears the flag.
     """
     K = int(gamma_steps)
     x, y = _stacked_arrays(inst, p)
@@ -483,12 +533,22 @@ def escape(
     f_curr = objective(inst, Point(x, y), gamma0)
     escapes = 0
     k = np.ones(rows, dtype=np.int64)
+    stale = np.zeros(rows, dtype=bool)
     while True:
         live = np.flatnonzero(k <= K)
         if not live.size:
             break
         gamma_k = gamma0 * (1.0 - k[live] / K)
-        probe = refine(inst, Point(x[live], y[live]), gamma_k)
+        xs, ys = x[live], y[live]
+        probe = refine(inst, Point(xs, ys), gamma_k)
+        k[live] += 1
+        home = (probe.x == xs).all(axis=1) & (probe.y == ys).all(axis=1)
+        redo = ~(home & stale[live])
+        if not redo.any():
+            continue
+        if not redo.all():
+            live, home = live[redo], home[redo]
+            probe = Point(probe.x[redo], probe.y[redo])
         back = refine(inst, probe, gamma0)
         f_back = objective(inst, back, gamma0)
         better = f_back > f_curr[live] + EPS
@@ -496,7 +556,8 @@ def escape(
         x[won], y[won], f_curr[won] = back.x[better], back.y[better], f_back[better]
         escapes += int(better.sum())
         k[won] = 1
-        k[live[~better]] += 1
+        stale[live[home]] = True
+        stale[won] = False
     if stats is not None:
         stats["escapes"] = stats.get("escapes", 0) + escapes
     return _shaped_like(p, x, y)

@@ -149,12 +149,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     header = f"{'problem':<12} {'n':>6} {'sparsity':>9} {'|S|':>6} {'ref':>6} {'ratio':>6} {'time_s':>7}  status"
     print(header)
     missing: list[str] = []
+    unreadable: list[str] = []
     all_ok = True
     for name, path, expected_n, ref_sep, threshold in rows:
         if not path.exists():
             missing.append(f"{name}: {path}")
             continue
-        g = _load_graph(str(path), None)
+        try:
+            g = _load_graph(str(path), None)
+        except (ParseError, OSError) as exc:
+            unreadable.append(f"{name}: {path}: {exc}")
+            print(f"{name:<12} {'':>6} {'':>9} {'':>6} {ref_sep:>6} {'':>6} {'':>7}  UNREADABLE")
+            continue
         sparsity = 2 * g.m / (g.n * (g.n - 1)) if g.n > 1 else 0.0
         start = time.perf_counter()
         try:
@@ -180,10 +186,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             f"{name:<12} {g.n:>6} {sparsity:>9.4f} {part.separator_weight:>6} "
             f"{ref_sep:>6} {ratio:>6.2f} {wall:>7.1f}  {status}"
         )
-    if missing:
-        print("missing benchmark graphs:", file=sys.stderr)
-        for item in missing:
-            print(f"  {item}", file=sys.stderr)
+    for title, items in (("missing", missing), ("unreadable", unreadable)):
+        if items:
+            print(f"{title} benchmark graphs:", file=sys.stderr)
+            for item in items:
+                print(f"  {item}", file=sys.stderr)
+    if missing or unreadable:
         return EXIT_PARSE
     return 0 if all_ok else 1
 

@@ -292,6 +292,80 @@ def test_lp_stack_equals_rows():
         assert np.array_equal(V, np.stack([solve_block_lp(g, s, l, u) for g in G]))
 
 
+def _gains_with_positive_size(rng, s, target):
+    """Heavily tied gains whose positive items have total size in
+    (target - max(s), target]: a random prefix of a permutation takes gains
+    1 or 2, all others 0, -1 or -2; one row in three is scaled by 1/3."""
+    perm = rng.permutation(len(s))
+    take = perm[: np.searchsorted(np.cumsum(s[perm]), target, side="right")]
+    g = -rng.integers(0, 3, size=len(s)).astype(float)
+    g[take] = rng.integers(1, 3, size=take.size)
+    return g * rng.choice([1.0, 1.0, 1 / 3])
+
+
+def _lp_classes(rng, s):
+    """Bounds l < u and one gain row of each class: in bounds, over u, short of l."""
+    total = int(s.sum())
+    l, u = total // 3, total // 2
+    rows = {
+        "in": _gains_with_positive_size(rng, s, (l + u) // 2),
+        "over": _gains_with_positive_size(rng, s, (u + total) // 2),
+        "short": _gains_with_positive_size(rng, s, l // 2),
+    }
+    size = {name: float(s[g > 0].sum()) for name, g in rows.items()}
+    assert l <= size["in"] <= u and size["over"] > u and size["short"] < l
+    return l, u, rows
+
+
+def _assert_rows_match_item_loop(V, G, s, l, u):
+    for v, g in zip(V, G):
+        assert v.tobytes() == _block_lp_loop(g.tolist(), s.tolist(), l, u).tobytes()
+
+
+@pytest.mark.parametrize("unit", [True, False])
+def test_lp_row_classes_match_item_loop_at_large_n(unit):
+    rng = np.random.default_rng(61 + unit)
+    for _ in range(3):
+        n = int(rng.integers(1800, 2200))
+        s = np.ones(n) if unit else rng.integers(1, 4, size=n).astype(float)
+        l, u, rows = _lp_classes(rng, s)
+        for g in rows.values():
+            _assert_rows_match_item_loop([solve_block_lp(g, s, l, u)], [g], s, l, u)
+        # a lone row outside the bounds among rows within them, and stacks mixing every class
+        for names in (["in", "over", "in"], ["in", "short"], ["over", "in", "short", "over"], ["short", "short"]):
+            G = np.stack([rows[name] for name in names])
+            _assert_rows_match_item_loop(solve_block_lp(G, s, l, u), G, s, l, u)
+
+
+def test_lp_sorts_only_what_the_answer_depends_on(monkeypatch):
+    rng = np.random.default_rng(67)
+    n = 2000
+    s = rng.integers(1, 4, size=n).astype(float)
+    l, u, rows = _lp_classes(rng, s)
+    sorted_shapes = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, **kw: sorted_shapes.append(np.shape(a)) or argsort(a, **kw))
+
+    within = np.stack([rows["in"], _gains_with_positive_size(rng, s, u), _gains_with_positive_size(rng, s, l + 3)])
+    _assert_rows_match_item_loop(solve_block_lp(within, s, l, u), within, s, l, u)
+    assert sorted_shapes == []
+
+    over = rows["over"]
+    _assert_rows_match_item_loop([solve_block_lp(over, s, l, u)], [over], s, l, u)
+    assert sorted_shapes == [(int((over > 0).sum()),)]
+
+    sorted_shapes.clear()
+    _assert_rows_match_item_loop([solve_block_lp(rows["short"], s, l, u)], [rows["short"]], s, l, u)
+    assert sorted_shapes == [(1, n)]
+
+    sorted_shapes.clear()
+    halves = s + 0.5 * (np.arange(n) % 2)  # non-integer sizes: a row within the bounds sorts too
+    g = rows["in"]
+    assert l <= halves[g > 0].sum() <= u
+    _assert_rows_match_item_loop([solve_block_lp(g, halves, l, u)], [g], halves, l, u)
+    assert sorted_shapes == [(1, n)]
+
+
 def test_lp_stack_shapes():
     s = np.ones(3)
     assert solve_block_lp(np.zeros((0, 3)), s, 0, 1).shape == (0, 3)
@@ -808,6 +882,64 @@ def test_escape_never_hurts_and_sometimes_helps():
             f_star = float(inst.c.sum()) - ref.separator_weight
             assert f_out <= f_star + EPS
     assert improved >= 1
+
+
+# Four points of two isolated unit-cost vertices (gamma0 = 1), by objective:
+# A = 0, B = 1, C = 2, D = 2.
+_ESCAPE_POINTS = {
+    "A": ([0, 0], [0, 0]),
+    "B": ([1, 0], [0, 0]),
+    "C": ([1, 0], [0, 1]),
+    "D": ([0, 1], [1, 0]),
+}
+
+
+def _scripted_escape(monkeypatch, starts, script):
+    """Run escape with gamma_steps = 3 under a scripted refine that maps (input
+    point, gamma) to an output point; return the final point names and the
+    refine calls at gamma0."""
+    inst = instance_from_graph(Graph.from_edges(2, []), 0, 2, 0, 2)
+    points = {name: (np.array(x, float), np.array(y, float)) for name, (x, y) in _ESCAPE_POINTS.items()}
+    name_of = {x.tobytes() + y.tobytes(): name for name, (x, y) in points.items()}
+    at_gamma0 = []
+
+    def scripted_refine(inst, p, gamma):
+        gammas = np.broadcast_to(gamma, (len(p.x),))
+        out = []
+        for x, y, g in zip(p.x, p.y, gammas.tolist()):
+            name = name_of[x.tobytes() + y.tobytes()]
+            if g == inst.gamma0:
+                at_gamma0.append(name)
+            out.append(points[script[name, round(g * 3)]])
+        return Point(np.array([x for x, _ in out]), np.array([y for _, y in out]))
+
+    monkeypatch.setattr("vsep.cbp.refine", scripted_refine)
+    out = escape(inst, _stack([Point(*points[name]) for name in starts]), gamma_steps=3)
+    finals = [name_of[x.tobytes() + y.tobytes()] for x, y in zip(out.x, out.y)]
+    return finals, at_gamma0
+
+
+# script keys: (input point, 3 * gamma); gamma0 = 1 is key 3
+_LOSS_THEN_HOME = {  # a non-home probe loses, then a home probe's re-refine wins
+    ("A", 2): "B", ("B", 3): "A", ("A", 1): "A", ("A", 3): "C",
+    ("C", 2): "C", ("C", 3): "C", ("C", 1): "C", ("C", 0): "C",
+}
+_STALE_THEN_ACCEPT = {  # a home probe loses, a later one wins, then home again
+    ("A", 2): "A", ("A", 3): "A", ("A", 1): "D", ("D", 3): "B",
+    ("B", 2): "B", ("B", 3): "C",
+    ("C", 2): "C", ("C", 3): "C", ("C", 1): "C", ("C", 0): "C",
+}
+
+
+def test_escape_skips_only_re_refines_known_to_lose(monkeypatch):
+    # only a home probe of a point whose own re-refine lost is skipped
+    finals, at_gamma0 = _scripted_escape(monkeypatch, ["A"], _LOSS_THEN_HOME)
+    assert finals == ["C"] and at_gamma0 == ["B", "A", "C"]
+    finals, at_gamma0 = _scripted_escape(monkeypatch, ["A"], _STALE_THEN_ACCEPT)
+    assert finals == ["C"] and at_gamma0 == ["A", "D", "B", "C"]
+    # as one stack the rows keep their own flags: C is skipped while A goes on
+    finals, at_gamma0 = _scripted_escape(monkeypatch, ["A", "C"], _STALE_THEN_ACCEPT)
+    assert finals == ["C", "C"] and at_gamma0 == ["A", "C", "D", "B", "C"]
 
 
 def test_escape_stats_and_determinism():

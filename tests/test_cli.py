@@ -272,6 +272,18 @@ def test_bench_infeasible_row_does_not_end_the_table(tmp_path, capsys):
     assert rows["p5"][-1] == "ok"
 
 
+def test_bench_unreadable_row_does_not_end_the_table(tmp_path, capsys):
+    write(tmp_path, "bad.graph", "this is not a graph\n")
+    write(tmp_path, "p5.graph", P5_METIS)
+    manifest = write(tmp_path, "m.txt", "bad bad.graph 5 1 1.5\np5 p5.graph 5 1 1.5\n")
+    code, out, err = run(capsys, "bench", str(manifest))
+    assert code == 2
+    rows = {ln.split()[0]: ln.split() for ln in out.splitlines()[1:]}
+    assert rows["bad"][1:] == ["1", "UNREADABLE"]  # only the reference is known
+    assert rows["p5"][-1] == "ok"
+    assert "unreadable benchmark graphs:" in err and "bad.graph" in err
+
+
 def test_bench_dimension_mismatch_is_invalid(tmp_path, capsys):
     write(tmp_path, "p5.graph", P5_METIS)
     manifest = write(tmp_path, "m.txt", "p5 p5.graph 99 1 1.5\n")
