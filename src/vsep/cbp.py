@@ -216,19 +216,20 @@ def solve_block_lp(g: Sequence[float], s: Sequence[float], l: int, u: int) -> np
     fractional coordinate.
 
     A row sorts only what its answer depends on.  With integer sizes P is
-    exact in any summation order, and each row falls in one of three
+    exact in any summation order, and each row falls in one of two
     classes:
 
     - l <= P <= u: the answer is 1 on the positive items and 0 elsewhere;
       no sort;
-    - P > u: the fill ends among the positive items; when the row is the
-      only one of its stack outside the bounds, it sorts only those;
-    - P < l: the fill runs past the positive items; the full sort.
+    - P outside [l, u]: the fill ends on the far side of P, among the
+      positive items when P > u and among the others when P < l; when the
+      row is the only one of its stack outside the bounds, it sorts only
+      the items on that side.
 
-    A stack with a row short of l or with two or more rows outside the
-    bounds, and any stack with non-integer sizes, sorts all its rows in
-    one batch: for the small stacks that occur, one batched sort costs
-    less than sorting the rows one by one.
+    A stack with two or more rows outside the bounds, and any stack with
+    non-integer sizes, sorts all its rows in one batch: for the small
+    stacks that occur, one batched sort costs less than sorting the rows
+    one by one.
     """
     g = np.asarray(g, dtype=np.float64)
     s = np.ascontiguousarray(s, dtype=np.float64)
@@ -242,14 +243,13 @@ def solve_block_lp(g: Sequence[float], s: Sequence[float], l: int, u: int) -> np
     pos = G > 0
     size = np.dot(pos, s).tolist()  # P of each row, summed in index order
     hard = [i for i, p in enumerate(size) if not l <= p <= u]
-    if len(hard) > 1 or (hard and size[hard[0]] < l) or not (np.floor(s) == s).all():
+    if len(hard) > 1 or not (np.floor(s) == s).all():
         v = _sorted_fill(G, pos, s, l, u)
     else:
         v = pos.astype(np.float64)  # the rows within the bounds are done
         if hard:
             i = hard[0]
-            v[i] = 0.0
-            _positive_fill(v[i], G[i], pos[i], s, u)
+            _far_fill(v[i], G[i], pos[i], s, size[i], l, u)
     return v if g.ndim == 2 else v[0]
 
 
@@ -273,16 +273,23 @@ def _sorted_fill(G: np.ndarray, pos: np.ndarray, s: np.ndarray, l: int, u: int) 
     return v
 
 
-def _positive_fill(row: np.ndarray, g: np.ndarray, pos: np.ndarray, s: np.ndarray, u: int) -> None:
-    """Write the greedy fill of one gain vector whose positive items (``pos``)
-    overrun u into the zeroed ``row``: the fill is u and ends among them,
-    so only they are sorted."""
-    items = np.flatnonzero(pos)
+def _far_fill(row: np.ndarray, g: np.ndarray, pos: np.ndarray, s: np.ndarray, P: float, l: int, u: int) -> None:
+    """Write into ``row`` (1 on the positive items ``pos``, 0 elsewhere) the
+    greedy fill of one gain vector whose positive items' size P lies outside
+    [l, u].  The fill ends on the far side of P: among the positive items,
+    filled to u from none, when P > u; among the others, filled to l on top
+    of the positive items, when P < l.  Only the items on that side are
+    sorted."""
+    over = P > u
+    items = np.flatnonzero(pos if over else ~pos)
+    left = u if over else l - P  # the size to fill from ``items``
     order = items[np.argsort(g[items] / -s[items], kind="stable")]
     cums = np.cumsum(s[order])
-    full = int(np.searchsorted(cums, u, side="right"))  # < len(order), as cums[-1] > u
+    full = int(np.searchsorted(cums, left, side="right"))  # < len(order) unless left is the whole side
+    if over:
+        row[items] = 0.0
     row[order[:full]] = 1.0
-    rest = u - cums[full - 1] if full else float(u)
+    rest = left - cums[full - 1] if full else float(left)
     if rest:
         row[order[full]] = rest / s[order[full]]
 

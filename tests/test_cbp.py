@@ -355,8 +355,9 @@ def test_lp_sorts_only_what_the_answer_depends_on(monkeypatch):
     assert sorted_shapes == [(int((over > 0).sum()),)]
 
     sorted_shapes.clear()
-    _assert_rows_match_item_loop([solve_block_lp(rows["short"], s, l, u)], [rows["short"]], s, l, u)
-    assert sorted_shapes == [(1, n)]
+    short = rows["short"]
+    _assert_rows_match_item_loop([solve_block_lp(short, s, l, u)], [short], s, l, u)
+    assert sorted_shapes == [(int((short <= 0).sum()),)]
 
     sorted_shapes.clear()
     halves = s + 0.5 * (np.arange(n) % 2)  # non-integer sizes: a row within the bounds sorts too

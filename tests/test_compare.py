@@ -1,0 +1,56 @@
+"""scripts/compare.py: the digest worker's lines and the pair summary."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+from vsep import SolveParams
+
+from test_cli import K4_METIS, P5_METIS
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "scripts" / "compare.py"
+
+
+def _compare():
+    spec = importlib.util.spec_from_file_location("compare", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digest_worker_prints_one_line_per_graph(tmp_path):
+    (tmp_path / "moved").mkdir()
+    paths = [tmp_path / "p5.graph", tmp_path / "k4.graph", tmp_path / "moved" / "other.graph"]
+    for path, text in zip(paths, [P5_METIS, K4_METIS, P5_METIS]):
+        path.write_text(text)
+    cases = [(name, str(path), SolveParams.lb) for name, path in zip(["p5", "k4", "p5"], paths)]
+    listing = tmp_path / "cases.json"
+    listing.write_text(json.dumps(cases))
+    proc = subprocess.run(
+        [sys.executable, "-B", str(SCRIPT), "--worker", "digest", str(ROOT / "src"), str(listing)],
+        capture_output=True, text=True, check=True,
+    )
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 3
+    for line, (name, code) in zip(lines, [("p5", 0), ("k4", 3), ("p5", 0)]):
+        assert re.fullmatch(rf"{name} {code} [0-9a-f]{{64}} [0-9a-f]{{64}}", line)
+    empty = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # sha256 of ""
+    assert lines[0].endswith(empty) and not lines[1].endswith(empty)  # only the infeasible K4 writes stderr
+    assert lines[2] == lines[0]  # the input path is not part of the digest
+
+
+def test_pair_summary_on_fixed_numbers():
+    base = [1.0, 2.0, 3.0, 4.0]
+    head = [0.5, 2.5, 2.0, 3.0]
+    assert _compare().pair_summary(base, head) == [
+        "head faster in 3 of 4 pairs",
+        "base: median 2.5000 s  quartiles 1.7500 / 3.2500  IQR 1.5000",
+        "head: median 2.2500 s  quartiles 1.6250 / 2.6250  IQR 1.0000",
+        "median head - base -0.2500 s (-10.0%); base IQR 1.5000 s",
+    ]
