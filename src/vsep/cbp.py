@@ -53,10 +53,10 @@ class MonotonicityError(RuntimeError):
 class CbpInstance:
     """One level's bilinear program data.
 
-    ``B`` is symmetric with positive integer entries; its diagonal is >= 1
-    everywhere and its off-diagonal support is exactly the interaction
-    (edge/aggregate) structure.  ``gamma0`` is derived as max(c), or 1 when
-    every cost is 0: the penalty must stay positive to keep x and y apart.
+    Costs are integers >= 0 and sizes integers >= 1, kept as float64.  ``B``
+    is symmetric with integer entries >= 1 on its diagonal and on exactly
+    the interaction (edge/aggregate) structure.  ``gamma0`` is max(c), or 1
+    when every cost is 0: the penalty must stay positive to keep x and y apart.
     """
 
     n: int
@@ -83,12 +83,12 @@ class CbpInstance:
             raise DimensionMismatchError(f"B is {B.shape}, expected ({self.n}, {self.n})")
         if c.shape != (self.n,) or s.shape != (self.n,):
             raise DimensionMismatchError("c and s must have length n")
-        if np.any(c < 0):
-            raise ValueError("costs must be >= 0")
-        if np.any(s < 1):
-            raise ValueError("sizes must be >= 1")
-        if np.any(B.data < 1):
-            raise ValueError("B entries must be >= 1")
+        if np.any(c < 0) or np.any(np.floor(c) != c):
+            raise ValueError("costs must be integers >= 0")
+        if np.any(s < 1) or np.any(np.floor(s) != s):
+            raise ValueError("sizes must be integers >= 1")
+        if np.any(B.data < 1) or np.any(np.floor(B.data) != B.data):
+            raise ValueError("B entries must be integers >= 1")
         if self.n and np.any(B.diagonal() < 1):
             raise ValueError("B diagonal must be >= 1")
         total = float(s.sum())
@@ -203,7 +203,7 @@ def feasible(inst: CbpInstance, p: Point) -> bool:
 
 
 def solve_block_lp(g: Sequence[float], s: Sequence[float], l: int, u: int) -> np.ndarray:
-    """Maximize g.v over 0 <= v <= 1 with l <= s.v <= u, for sizes s > 0.
+    """Maximize g.v over 0 <= v <= 1 with l <= s.v <= u, for integer sizes s >= 1.
 
     ``g`` is one gain vector of shape (n,) or a stack of shape (rows, n);
     each row is solved on its own and the result has the shape of ``g``.
@@ -215,7 +215,7 @@ def solve_block_lp(g: Sequence[float], s: Sequence[float], l: int, u: int) -> np
     items are 0.  The result is a vertex of the polytope with at most one
     fractional coordinate.
 
-    A row sorts only what its answer depends on.  With integer sizes P is
+    A row sorts only what its answer depends on.  Integer sizes make P
     exact in any summation order, and each row falls in one of two
     classes:
 
@@ -226,15 +226,17 @@ def solve_block_lp(g: Sequence[float], s: Sequence[float], l: int, u: int) -> np
       row is the only one of its stack outside the bounds, it sorts only
       the items on that side.
 
-    A stack with two or more rows outside the bounds, and any stack with
-    non-integer sizes, sorts all its rows in one batch: for the small
-    stacks that occur, one batched sort costs less than sorting the rows
-    one by one.
+    A stack with two or more rows outside the bounds sorts all its rows in
+    one batch: for the small stacks that occur, one batched sort costs
+    less than sorting the rows one by one.  Non-integer sizes raise
+    ValueError.
     """
     g = np.asarray(g, dtype=np.float64)
     s = np.ascontiguousarray(s, dtype=np.float64)
     if s.ndim != 1 or g.ndim not in (1, 2) or g.shape[-1:] != s.shape:
         raise DimensionMismatchError(f"g has shape {g.shape}, s has shape {s.shape}")
+    if not (np.floor(s) == s).all():
+        raise ValueError("sizes must be integers")
     total = float(s.sum())
     if l < 0 or l > u or l > total:
         raise InfeasibleBoundsError(f"bounds l={l} u={u} unreachable with s total {total}")
@@ -243,7 +245,7 @@ def solve_block_lp(g: Sequence[float], s: Sequence[float], l: int, u: int) -> np
     pos = G > 0
     size = np.dot(pos, s).tolist()  # P of each row, summed in index order
     hard = [i for i, p in enumerate(size) if not l <= p <= u]
-    if len(hard) > 1 or not (np.floor(s) == s).all():
+    if len(hard) > 1:
         v = _sorted_fill(G, pos, s, l, u)
     else:
         v = pos.astype(np.float64)  # the rows within the bounds are done
@@ -268,7 +270,7 @@ def _sorted_fill(G: np.ndarray, pos: np.ndarray, s: np.ndarray, l: int, u: int) 
     v = np.zeros((rows, n))
     for row, o, f, left in zip(v, order, full.tolist(), rest.tolist()):
         row[o[:f]] = 1.0
-        if left and f < n:  # f == n when rounding leaves the sizes' sum short of l
+        if left:  # with integer sizes, a fill that takes every item leaves no rest
             row[o[f]] = left / s[o[f]]
     return v
 
@@ -506,7 +508,7 @@ def extract_partition(inst: CbpInstance, p: Point) -> Partition:
         a=tuple(int(i) for i in np.flatnonzero(xb)),
         b=tuple(int(i) for i in np.flatnonzero(yb)),
         s=tuple(int(i) for i in np.flatnonzero(sep)),
-        separator_weight=int(round(float(inst.c[sep].sum()))),
+        separator_weight=int(inst.c[sep].sum()),
     )
 
 

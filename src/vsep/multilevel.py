@@ -175,9 +175,9 @@ def _interaction_graph(inst: CbpInstance) -> Graph:
     mask = (coo.row < coo.col)
     return Graph.from_edges(
         inst.n,
-        np.column_stack((coo.row[mask], coo.col[mask], np.rint(coo.data[mask]))).astype(np.int64),
-        vertex_cost=np.rint(inst.c).astype(np.int64),
-        vertex_size=np.rint(inst.s).astype(np.int64),
+        np.column_stack((coo.row[mask], coo.col[mask], coo.data[mask])).astype(np.int64),
+        vertex_cost=inst.c.astype(np.int64),
+        vertex_size=inst.s.astype(np.int64),
     )
 
 
@@ -209,12 +209,12 @@ def build_hierarchy(g: Graph, params: SolveParams) -> Hierarchy:
     return Hierarchy(tuple(levels))
 
 
-def _subset_sums(s: np.ndarray) -> int:
-    """Bitset of the subset sums of s: bit t is set when some subset of s
-    sums to t."""
-    bits = 1
-    for t in s:
-        bits |= bits << int(t)
+def _subset_sums(s: np.ndarray, top: int) -> int:
+    """Bitset of the subset sums of s up to ``top``: bit t <= top is set
+    when some subset of s sums to t.  It never holds more than top + 1 bits."""
+    bits, mask = 1, (1 << (top + 1)) - 1
+    for t in s[s <= top].astype(np.int64).tolist():
+        bits = (bits | bits << t) & mask
     return bits
 
 
@@ -270,10 +270,8 @@ def solve_coarsest(
     its solution is used when strictly better.  Raises InfeasibleError when
     no binary point can satisfy the bounds.
     """
-    sums = _subset_sums(inst.s)
-    if not _sum_reachable(sums, inst.la, inst.ua) or not _sum_reachable(
-        sums, inst.lb, inst.ub
-    ):
+    sums = _subset_sums(inst.s, max(inst.ua, inst.ub))
+    if not (_sum_reachable(sums, inst.la, inst.ua) and _sum_reachable(sums, inst.lb, inst.ub)):
         raise InfeasibleError("no binary point satisfies the sum bounds")
 
     starts = [
@@ -323,7 +321,7 @@ def _partition_point(n: int, part: Partition) -> Point:
 
 def _separator_weight(inst: CbpInstance, p: Point) -> int:
     mask = (p.x < 0.5) & (p.y < 0.5)
-    return int(round(float(inst.c[mask].sum())))
+    return int(inst.c[mask].sum())
 
 
 def solve(g: Graph, params: SolveParams | None = None) -> tuple[Partition, list[LevelTrace]]:

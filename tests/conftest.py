@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from vsep.cbp import CbpInstance, Point, instance_from_graph
 from vsep.graphs import Graph
+from vsep.multilevel import SolveParams
 
 
 def path_graph(n: int) -> Graph:
@@ -47,8 +46,7 @@ def gnp(n: int, p: float, seed: int) -> Graph:
 
 
 def default_instance(g: Graph) -> CbpInstance:
-    ua = math.floor(0.503 * g.n)
-    return instance_from_graph(g, 1, ua, 1, ua)
+    return instance_from_graph(g, *SolveParams().bounds(g.n))
 
 
 def random_fractional_point(inst: CbpInstance, rng: np.random.Generator) -> Point:

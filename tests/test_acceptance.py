@@ -4,7 +4,6 @@ Run with  pytest tests/test_acceptance.py -v -s  to see one line per criterion.
 """
 
 import json
-import math
 import time
 from pathlib import Path
 
@@ -35,30 +34,46 @@ def ok(name: str, detail: str = "") -> None:
     print(f"ACCEPTANCE {name}: PASS {detail}".rstrip())
 
 
-def test_c1_oracle_equivalence_small_instances():
-    rng = np.random.default_rng(1)
-    start = time.perf_counter()
+def _oracle_differential(rng, n_range, seed0, trials):
+    """Solve gnp graphs with n in n_range (half-open) and check each against
+    the oracle: the same feasibility, a valid partition and a gap of at most
+    2.  Returns (optimal, feasible) counts."""
     feasible_count = matched = 0
-    for trial in range(200):
-        n = int(rng.integers(4, 11))
+    for trial in range(trials):
+        n = int(rng.integers(*n_range))
         p = float(rng.choice([0.2, 0.4, 0.6]))
-        g = gnp(n, p, seed=20_000 + trial)
-        ua = math.floor(0.503 * n)
-        ref = brute_force_vsp(g, 1, ua, 1, ua)
+        g = gnp(n, p, seed=seed0 + trial)
+        bounds = SolveParams().bounds(n)
+        ref = brute_force_vsp(g, *bounds)
         try:
             part, _ = solve(g)
         except InfeasibleError:
             assert ref is None
             continue
         assert ref is not None
-        assert partition_violations(g, part, 1, ua, 1, ua) == []
+        assert partition_violations(g, part, *bounds) == []
         assert ref.separator_weight <= part.separator_weight <= ref.separator_weight + 2
         feasible_count += 1
         matched += part.separator_weight == ref.separator_weight
+    return matched, feasible_count
+
+
+def test_c1_oracle_equivalence_small_instances():
+    rng = np.random.default_rng(1)
+    start = time.perf_counter()
+    matched, feasible_count = _oracle_differential(rng, (4, 11), 20_000, 200)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
     assert matched >= 0.8 * feasible_count
     ok("C1", f"({matched}/{feasible_count} optimal, {elapsed:.2f}s)")
+
+
+def test_c1_holds_past_the_exhaustive_backstop():
+    # solve_coarsest runs its exhaustive backstop for n <= 12, which makes
+    # C1's graphs exact by construction; at n = 13-14 the multistart answers
+    matched, feasible_count = _oracle_differential(np.random.default_rng(13), (13, 15), 21_000, 40)
+    assert matched >= 0.8 * feasible_count
+    ok("C1 past the backstop", f"({matched}/{feasible_count} optimal)")
 
 
 def test_c2_lp_exactness():
@@ -159,8 +174,7 @@ def test_c6_benchmark_regression():
         start = time.perf_counter()
         part, _ = solve(g)
         elapsed = time.perf_counter() - start
-        ua = math.floor(0.503 * g.n)
-        assert partition_violations(g, part, 1, ua, 1, ua) == []
+        assert partition_violations(g, part, *SolveParams().bounds(g.n)) == []
         assert part.separator_weight <= threshold * ref_weight, (
             f"{name}: {part.separator_weight} > {threshold} * {ref_weight}"
         )

@@ -88,12 +88,15 @@ def test_instance_rejects_mismatched_dimensions():
         {"bounds": (2, 1, 1, 1)},  # la > ua
         {"bounds": (1, 1, -1, 1)},  # lb < 0
         {"bounds": (1, 4, 1, 1)},  # ua above the total size
+        {"c": np.array([1.0, 1.5, 1]), "match": "costs"},  # non-integer cost
+        {"s": np.array([1.0, 2.5, 1]), "match": "sizes"},  # non-integer size
+        {"B": sp.csr_array(np.array([[1.0, 1.5, 0], [1.5, 1, 1], [0, 1, 1]])), "match": "B entries"},
     ],
 )
 def test_instance_rejects_bad_data(change):
     n, B, c, s = _p3_data()
     B, c, s = change.get("B", B), change.get("c", c), change.get("s", s)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=change.get("match")):
         CbpInstance(n, B, c, s, *change.get("bounds", (1, 1, 1, 1)))
 
 
@@ -133,7 +136,7 @@ def test_objective_dimension_mismatch():
 
 
 def test_feasible_upper_bound():
-    inst = default_instance(empty_graph(5))  # ua = floor(0.503 * 5) = 2
+    inst = default_instance(empty_graph(5))  # SolveParams().bounds(5): ua = 2
     assert inst.ua == 2
     assert not feasible(inst, pt([1, 1, 1, 0, 0], [1, 0, 0, 0, 0]))
 
@@ -185,10 +188,18 @@ def test_lp_lower_bound_forces_least_loss():
     assert np.allclose(v, [1, 0.5, 0], atol=EPS)
 
 
-def test_lp_lower_bound_at_total_past_rounded_sizes():
-    # these sizes sum to 15.0, but to 14.999999999999998 in ratio order
-    v = solve_block_lp([2, 1, 0, -2, -1], [3.5, 2.7, 2.5, 2.6, 3.7], 15, 15)
-    assert np.array_equal(v, np.ones(5))
+def test_lp_fill_of_every_item_leaves_no_rest():
+    # l = u = total: both rows lie outside the bounds and take the batched sort
+    G = np.array([[2.0, 1, 0, -2, -1], [-1, 3, -2, 0, 1]])
+    assert np.array_equal(solve_block_lp(G, [3, 2, 2, 2, 4], 13, 13), np.ones((2, 5)))
+
+
+def test_lp_rejects_non_integer_sizes():
+    # non-integer sizes sum by their order: 15.0 in index order, 14.999999999999998 in ratio order
+    with pytest.raises(ValueError, match="sizes must be integers"):
+        solve_block_lp([2, 1, 0, -2, -1], [3.5, 2.7, 2.5, 2.6, 3.7], 15, 15)
+    with pytest.raises(ValueError, match="sizes must be integers"):
+        solve_block_lp(np.ones((2, 2)), [1.0, np.nan], 0, 1)
 
 
 def test_lp_infeasible_bounds():
@@ -248,14 +259,14 @@ def _block_lp_loop(g, s, l, u):
 
 
 def _random_block_lps(rng, count):
-    """Gain stacks with ties, zeros and negatives over unit, integer and
-    non-integer sizes, with lower bounds above the positive-gain items'
-    size, and l == u."""
+    """Gain stacks with ties, zeros and negatives over unit, small and large
+    integer sizes, with lower bounds above the positive-gain items' size,
+    and l == u."""
     for trial in range(count):
         n = int(rng.integers(1, 90))
         rows = int(rng.integers(1, 8))
         if trial % 3 == 2:
-            s = rng.uniform(1, 4, size=n)
+            s = rng.integers(1, 40, size=n).astype(float)
         else:
             s = rng.integers(1, 4, size=n).astype(float) if trial % 2 else np.ones(n)
         G = rng.integers(-3, 4, size=(rows, n)) * rng.choice([1.0, 0.5, 1 / 3])
@@ -360,11 +371,9 @@ def test_lp_sorts_only_what_the_answer_depends_on(monkeypatch):
     assert sorted_shapes == [(int((short <= 0).sum()),)]
 
     sorted_shapes.clear()
-    halves = s + 0.5 * (np.arange(n) % 2)  # non-integer sizes: a row within the bounds sorts too
-    g = rows["in"]
-    assert l <= halves[g > 0].sum() <= u
-    _assert_rows_match_item_loop([solve_block_lp(g, halves, l, u)], [g], halves, l, u)
-    assert sorted_shapes == [(1, n)]
+    both = np.stack([rows["in"], over, short])  # two rows outside the bounds: one batched sort
+    _assert_rows_match_item_loop(solve_block_lp(both, s, l, u), both, s, l, u)
+    assert sorted_shapes == [(3, n)]
 
 
 def test_lp_stack_shapes():

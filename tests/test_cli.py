@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -123,6 +124,17 @@ def test_solve_contradictory_bounds_exit_3(tmp_path, capsys):
     f = write(tmp_path, "p5.graph", P5_METIS)
     code, _, _ = run(capsys, "solve", str(f), "--ub-frac", "0.1")
     assert code == 3
+
+
+def test_solve_huge_sizes_exit_3_fast(tmp_path, capsys):
+    # P5 with vertex sizes 10^12 (fmt 100: a size before each neighbour list);
+    # ua = 2 sits below every size, and the subset-sum check reads only up to it
+    rows = [" ".join(["1000000000000"] + [str(j + 1) for j in (i - 1, i + 1) if 0 <= j < 5]) for i in range(5)]
+    f = write(tmp_path, "p5.graph", "5 4 100\n" + "\n".join(rows) + "\n")
+    start = time.perf_counter()
+    code, _, err = run(capsys, "solve", str(f))
+    assert time.perf_counter() - start < 0.5
+    assert (code, err) == (3, "error: no binary point satisfies the sum bounds\n")
 
 
 def test_solve_zero_cost_path_exit_0(tmp_path, capsys):

@@ -44,7 +44,7 @@ EPS = 1e-9
 
 
 def finest_level(g, la=1, ua=None, lb=1, ub=None):
-    ua = math.floor(0.503 * g.n) if ua is None else ua
+    ua = SolveParams().bounds(g.n)[1] if ua is None else ua
     ub = ua if ub is None else ub
     return Level(instance_from_graph(g, la, ua, lb, ub), None)
 
@@ -338,9 +338,13 @@ def test_subset_sum_table_matches_reference():
         total = int(s.sum())
         l = int(rng.integers(0, total + 2))
         u = int(rng.integers(l - 1, total + 3))
-        bits = _subset_sums(s)
-        assert bits.bit_length() == total + 1
+        assert _subset_sums(s, total).bit_length() == total + 1
+        top = max(l, u)  # solve_coarsest passes the larger upper bound
+        bits = _subset_sums(s, top)
+        assert bits.bit_length() <= top + 1
         assert _sum_reachable(bits, l, u) == _reachable_reference(s, l, u)
+    # sizes past the cap never enter the bitset
+    assert _subset_sums(np.array([1e12, 2.0, 1e12]), 3) == 0b101
 
 
 def test_random_start_falls_back_to_the_block_lp(monkeypatch):
@@ -435,20 +439,18 @@ def test_solve_output_always_valid():
     rng = np.random.default_rng(99)
     for trial in range(15):
         g = gnp(int(rng.integers(5, 80)), float(rng.choice([0.05, 0.15, 0.3])), seed=800 + trial)
-        ua = math.floor(0.503 * g.n)
         try:
             part, _ = solve(g)
         except InfeasibleError:
             continue
-        assert partition_violations(g, part, 1, ua, 1, ua) == []
+        assert partition_violations(g, part, *SolveParams().bounds(g.n)) == []
 
 
 def test_solve_multilevel_path_uses_hierarchy():
     g = grid_graph(10, 10)
     part, trace = solve(g, SolveParams(coarsest_size=16))
     assert len(trace) > 1
-    ua = math.floor(0.503 * g.n)
-    assert partition_violations(g, part, 1, ua, 1, ua) == []
+    assert partition_violations(g, part, *SolveParams().bounds(g.n)) == []
     assert part.separator_weight <= 15  # a straight cut costs 10
 
 

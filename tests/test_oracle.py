@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ import pytest
 from conftest import complete_graph, empty_graph, gnp, path_graph
 from vsep.cbp import InfeasibleBoundsError, partition_violations, solve_block_lp
 from vsep.graphs import Graph
+from vsep.multilevel import SolveParams
 from vsep.oracle import TooLargeError, brute_force_lp, brute_force_vsp
 
 EPS = 1e-9
@@ -40,8 +40,6 @@ def test_vsp_too_large():
 
 def test_vsp_respects_costs():
     # the only separator is vertex 1, so its cost is the optimum
-    from vsep.graphs import Graph
-
     g = Graph.from_edges(3, [(0, 1), (1, 2)], vertex_cost=[1, 7, 1])
     assert brute_force_vsp(g, 1, 1, 1, 1).separator_weight == 7
 
@@ -51,12 +49,12 @@ def test_vsp_witness_always_valid():
     for trial in range(40):
         n = int(rng.integers(2, 11))
         g = gnp(n, float(rng.choice([0.2, 0.5])), seed=900 + trial)
-        ua = math.floor(0.503 * n)
+        la, ua, lb, ub = SolveParams().bounds(n)
         if ua < 1:
             continue
-        best = brute_force_vsp(g, 1, ua, 1, ua)
+        best = brute_force_vsp(g, la, ua, lb, ub)
         if best is not None:
-            assert partition_violations(g, best, 1, ua, 1, ua) == []
+            assert partition_violations(g, best, la, ua, lb, ub) == []
 
 
 def _vsp_loop(g, la, ua, lb, ub):
