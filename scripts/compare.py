@@ -19,9 +19,10 @@ differs, and ``outputs: equal`` or ``outputs: DIFFER`` (exit status 1).
 With ``--workload`` (and ``--base``) the trees run in alternating pairs
 of processes; each reports the sum of each graph's fastest of three
 solves.  The script prints the pairs, the head's wins, both quartiles,
-the median shift, whether the partitions agree, and the call counters of
-one pass per tree under ``perfbench/tracing.py``: timing two trees that
-do different work compares more than their speed.
+the median shift, whether the partitions agree (exit status 1 when they
+differ), and the call counters of one pass per tree under
+``perfbench/tracing.py``: timing two trees that do different work
+compares more than their speed.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ def _pairs(trees: dict[str, Path], listing: Path, workload: str, pairs: int) -> 
     for key, head in counters["head"].items():
         base = counters["base"].get(key)
         print(f"  {key:32s} {base:>16.10g}  {head:>16.10g}  {'equal' if base == head else 'differ'}")
-    return 0
+    return 0 if same else 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -24,6 +24,9 @@ EPS = 1e-9
 # below this dimension a dense copy of B makes matvecs noticeably cheaper
 _DENSE_LIMIT = 128
 
+# escape probes a row max(1, _PROBE_CELLS // (live rows * n)) gamma steps ahead
+_PROBE_CELLS = 4096
+
 
 class DimensionMismatchError(ValueError):
     """Vector length does not match the instance dimension."""
@@ -527,11 +530,17 @@ def escape(
     ``p`` may be a stack of points, as for ``refine``: each row keeps its
     own k, current point and objective, and gets the result it would get
     on its own.  ``stats["escapes"]`` grows by the accepted improvements
-    of all rows.
+    of all rows, ``stats["probes"]`` by the probe rows refined and
+    ``stats["rerefines"]`` by the re-refine rows run.
 
-    A probe that returns the current point bit for bit would re-refine to
-    the same point as the current point's own re-refine at gamma0.  Once
-    that re-refine has lost, the row is stale: such probes skip it, and
+    Until a row accepts, every probe starts from its current point, so a
+    round refines each live row's next w steps as one stack, w =
+    max(1, _PROBE_CELLS // (live rows * n)) or the steps left, and takes
+    the first winning step; the results after it are dropped.  Within a
+    round each distinct probe point is re-refined once.  A probe that
+    returns the current point bit for bit would re-refine to the same
+    point as the current point's own re-refine at gamma0.  Once that
+    re-refine has lost, the row is stale: such probes skip it, and
     accepting a new point clears the flag.
     """
     K = int(gamma_steps)
@@ -540,35 +549,44 @@ def escape(
     gamma0 = inst.gamma0
     x, y = x.copy(), y.copy()
     f_curr = objective(inst, Point(x, y), gamma0)
-    escapes = 0
+    escapes = probes = rerefines = 0
     k = np.ones(rows, dtype=np.int64)
     stale = np.zeros(rows, dtype=bool)
     while True:
         live = np.flatnonzero(k <= K)
         if not live.size:
             break
-        gamma_k = gamma0 * (1.0 - k[live] / K)
-        xs, ys = x[live], y[live]
-        probe = refine(inst, Point(xs, ys), gamma_k)
-        k[live] += 1
+        width = np.minimum(K + 1 - k[live], max(1, _PROBE_CELLS // (live.size * max(inst.n, 1))))
+        src = np.repeat(live, width)  # each probe's row; a row's steps follow in order
+        step = k[src] + np.arange(src.size) - np.repeat(np.cumsum(width) - width, width)
+        xs, ys = x[src], y[src]
+        probe = refine(inst, Point(xs, ys), gamma0 * (1.0 - step / K))
+        probes += src.size
+        k[live] += width
         home = (probe.x == xs).all(axis=1) & (probe.y == ys).all(axis=1)
-        redo = ~(home & stale[live])
-        if not redo.any():
+        redo = np.flatnonzero(~(home & stale[src]))
+        stale[src[home]] = True
+        if not redo.size:
             continue
-        if not redo.all():
-            live, home = live[redo], home[redo]
-            probe = Point(probe.x[redo], probe.y[redo])
-        back = refine(inst, probe, gamma0)
+        uniq, slot = redo, np.arange(redo.size)  # slot: the re-refine row of each redo
+        if redo.size > 1:  # one re-refine per distinct probe point
+            seen: dict[bytes, int] = {}
+            keys = [probe.x[i].tobytes() + probe.y[i].tobytes() for i in redo.tolist()]
+            slot = np.array([seen.setdefault(key, len(seen)) for key in keys])
+            uniq = redo[np.unique(slot, return_index=True)[1]]
+        back = refine(inst, Point(probe.x[uniq], probe.y[uniq]), gamma0)
+        rerefines += uniq.size
         f_back = objective(inst, back, gamma0)
-        better = f_back > f_curr[live] + EPS
-        won = live[better]
-        x[won], y[won], f_curr[won] = back.x[better], back.y[better], f_back[better]
-        escapes += int(better.sum())
+        better = f_back[slot] > f_curr[src[redo]] + EPS
+        won, first = np.unique(src[redo[better]], return_index=True)  # each row's first win
+        b = slot[better][first]
+        x[won], y[won], f_curr[won] = back.x[b], back.y[b], f_back[b]
+        escapes += won.size
         k[won] = 1
-        stale[live[home]] = True
         stale[won] = False
     if stats is not None:
-        stats["escapes"] = stats.get("escapes", 0) + escapes
+        for key, value in (("escapes", escapes), ("probes", probes), ("rerefines", rerefines)):
+            stats[key] = stats.get(key, 0) + value
     return _shaped_like(p, x, y)
 
 

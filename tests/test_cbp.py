@@ -13,6 +13,7 @@ from conftest import (
 )
 import scipy.sparse as sp
 
+from vsep import cbp
 from vsep.cbp import (
     CbpInstance,
     DegenerateRepairError,
@@ -485,14 +486,19 @@ def test_refine_and_escape_stack_equal_rows():
         assert stats.get("escapes", 0) == row_stats.get("escapes", 0)
 
 
-def _escape_loop(inst, p, gamma_steps=10):
-    """Point-by-point reference of escape: returns the point and its escapes."""
+def _escape_loop(inst, p, gamma_steps=10, events=None):
+    """Point-by-point reference of escape: returns the point and its escapes.
+
+    ``events`` collects (probe returned home, probe won) for every probe."""
     current, f_curr = p, objective(inst, p, inst.gamma0)
     escapes, k = 0, 1
     while k <= gamma_steps:
         probe = refine(inst, current, inst.gamma0 * (1.0 - k / gamma_steps))
         back = refine(inst, probe, inst.gamma0)
         f_back = objective(inst, back, inst.gamma0)
+        if events is not None:
+            home = np.array_equal(probe.x, current.x) and np.array_equal(probe.y, current.y)
+            events.append((home, f_back > f_curr + EPS))
         if f_back > f_curr + EPS:
             current, f_curr, escapes, k = back, f_back, escapes + 1, 1
         else:
@@ -513,6 +519,75 @@ def test_escape_stack_matches_point_loop():
         assert np.array_equal(out.x, np.stack([q.x for q, _ in ref]))
         assert np.array_equal(out.y, np.stack([q.y for q, _ in ref]))
         assert stats["escapes"] == sum(e for _, e in ref)
+
+
+def _stale_wins(events):
+    """Wins that follow a losing home probe of the same current point."""
+    count, stale = 0, False
+    for home, won in events:
+        count += won and stale
+        stale = not won and (stale or home)
+    return count
+
+
+def test_escape_probe_widths_match_point_loop():
+    # first-round widths 1, 3 (no divisor of K = 10) and K, and K = 1; half of
+    # each stack repeats rows, whose probe points share one re-refine
+    rng = np.random.default_rng(67)
+    stale_wins = 0
+    for rows, n, steps, width in [(40, 60, 10, 1), (18, 60, 10, 3), (4, 60, 10, 10), (6, 30, 1, 1)]:
+        assert min(steps, max(1, cbp._PROBE_CELLS // (rows * n))) == width
+        inst = _costed_instance(rng, n)
+        distinct = [refine(inst, random_fractional_point(inst, rng), inst.gamma0) for _ in range(rows // 2)]
+        starts = distinct + [distinct[i] for i in rng.integers(len(distinct), size=rows - len(distinct))]
+        stats: dict = {}
+        out = escape(inst, _stack(starts), gamma_steps=steps, stats=stats)
+        ref_escapes, alone_stats = 0, {}
+        for i, q in enumerate(starts):
+            events = []
+            ref, escapes = _escape_loop(inst, q, steps, events)
+            alone = escape(inst, q, gamma_steps=steps, stats=alone_stats)
+            for got in (ref, alone):
+                assert out.x[i].tobytes() == got.x.tobytes() and out.y[i].tobytes() == got.y.tobytes()
+            ref_escapes += escapes
+            if width == steps and steps > 1:
+                stale_wins += _stale_wins(events)
+        assert stats["escapes"] == alone_stats["escapes"] == ref_escapes
+        if width == steps:  # each row walks alone: repeats add probes, not re-refines
+            once: dict = {}
+            escape(inst, _stack(distinct), gamma_steps=steps, stats=once)
+            assert once["rerefines"] == stats["rerefines"] and once["probes"] < stats["probes"]
+    assert stale_wins  # a row turned stale before a later win in the same round
+
+
+def test_escape_counts_its_probe_and_re_refine_rows(monkeypatch):
+    rng = np.random.default_rng(71)
+    inst = _costed_instance(rng, 40)
+    starts = _stack([refine(inst, random_fractional_point(inst, rng), inst.gamma0) for _ in range(5)])
+    counted = {"probes": 0, "rerefines": 0}
+
+    def spy(inst, p, gamma):  # probes pass one gamma per row, re-refines gamma0
+        counted["probes" if isinstance(gamma, np.ndarray) else "rerefines"] += len(p.x)
+        return refine(inst, p, gamma)
+
+    monkeypatch.setattr("vsep.cbp.refine", spy)
+    stats: dict = {}
+    escape(inst, starts, stats=stats)
+    assert {key: stats[key] for key in counted} == counted
+    assert 0 < stats["rerefines"] < stats["probes"]
+    first = dict(stats)
+    escape(inst, starts, stats=stats)  # the counts add up over calls
+    assert stats == {key: 2 * value for key, value in first.items()}
+
+    # one step a round probes as the point-by-point walk does
+    monkeypatch.setattr("vsep.cbp._PROBE_CELLS", 1)
+    walked = {}
+    escape(inst, starts, stats=walked)
+    monkeypatch.setattr("vsep.cbp.refine", refine)
+    events = []
+    for q in zip(starts.x, starts.y):
+        _escape_loop(inst, Point(*q), 10, events)
+    assert walked["probes"] == len(events) and walked["escapes"] == first["escapes"]
 
 
 def test_bdot_stack_rows_equal_vector_products():
@@ -904,10 +979,11 @@ _ESCAPE_POINTS = {
 }
 
 
-def _scripted_escape(monkeypatch, starts, script):
+def _scripted_escape(monkeypatch, starts, script, cells=None):
     """Run escape with gamma_steps = 3 under a scripted refine that maps (input
     point, gamma) to an output point; return the final point names and the
-    refine calls at gamma0."""
+    rows refined at gamma0.  ``cells`` replaces the probe budget: 4 probes one
+    row two steps ahead, 1 one step."""
     inst = instance_from_graph(Graph.from_edges(2, []), 0, 2, 0, 2)
     points = {name: (np.array(x, float), np.array(y, float)) for name, (x, y) in _ESCAPE_POINTS.items()}
     name_of = {x.tobytes() + y.tobytes(): name for name, (x, y) in points.items()}
@@ -924,32 +1000,53 @@ def _scripted_escape(monkeypatch, starts, script):
         return Point(np.array([x for x, _ in out]), np.array([y for _, y in out]))
 
     monkeypatch.setattr("vsep.cbp.refine", scripted_refine)
+    if cells is not None:
+        monkeypatch.setattr("vsep.cbp._PROBE_CELLS", cells)
     out = escape(inst, _stack([Point(*points[name]) for name in starts]), gamma_steps=3)
     finals = [name_of[x.tobytes() + y.tobytes()] for x, y in zip(out.x, out.y)]
     return finals, at_gamma0
 
 
 # script keys: (input point, 3 * gamma); gamma0 = 1 is key 3
-_LOSS_THEN_HOME = {  # a non-home probe loses, then a home probe's re-refine wins
-    ("A", 2): "B", ("B", 3): "A", ("A", 1): "A", ("A", 3): "C",
+_LOSS_THEN_HOME = {  # a non-home probe loses, a home probe's re-refine wins, a later win is dropped
+    ("A", 2): "B", ("B", 3): "A", ("A", 1): "A", ("A", 3): "C", ("A", 0): "D", ("D", 3): "D",
     ("C", 2): "C", ("C", 3): "C", ("C", 1): "C", ("C", 0): "C",
 }
 _STALE_THEN_ACCEPT = {  # a home probe loses, a later one wins, then home again
-    ("A", 2): "A", ("A", 3): "A", ("A", 1): "D", ("D", 3): "B",
-    ("B", 2): "B", ("B", 3): "C",
+    ("A", 2): "A", ("A", 3): "A", ("A", 1): "D", ("A", 0): "A", ("D", 3): "B",
+    ("B", 2): "B", ("B", 3): "C", ("B", 1): "B", ("B", 0): "B",
     ("C", 2): "C", ("C", 3): "C", ("C", 1): "C", ("C", 0): "C",
 }
 
 
+# (starts, script, probe budget, final points, rows refined at gamma0)
+_SCRIPTED_RUNS = [
+    # all three steps in one round: each distinct probe point is re-refined
+    # once, and D, which also wins, comes after the first win and is dropped
+    (["A"], _LOSS_THEN_HOME, None, ["C"], ["B", "A", "D", "C"]),
+    # A turns stale in the round in which D wins; its second home probe
+    # shares the first one's re-refine
+    (["A"], _STALE_THEN_ACCEPT, None, ["C"], ["A", "D", "B", "C"]),
+    # rows keep their own flags and objectives, and share re-refines
+    (["A", "C"], _STALE_THEN_ACCEPT, None, ["C", "C"], ["A", "D", "C", "B", "C"]),
+    (["A", "A"], _STALE_THEN_ACCEPT, None, ["C", "C"], ["A", "D", "B", "C"]),
+    # two steps a round: the home probe of stale C in the last round is skipped
+    (["A"], _LOSS_THEN_HOME, 4, ["C"], ["B", "A", "C"]),
+    (["A"], _STALE_THEN_ACCEPT, 4, ["C"], ["A", "D", "B", "C"]),
+    # one step a round, the point-by-point walk: C is skipped while A goes on
+    (["A"], _LOSS_THEN_HOME, 1, ["C"], ["B", "A", "C"]),
+    (["A"], _STALE_THEN_ACCEPT, 1, ["C"], ["A", "D", "B", "C"]),
+    (["A", "C"], _STALE_THEN_ACCEPT, 1, ["C", "C"], ["A", "C", "D", "B", "C"]),
+    (["A", "A"], _STALE_THEN_ACCEPT, 1, ["C", "C"], ["A", "D", "B", "C"]),
+]
+
+
 def test_escape_skips_only_re_refines_known_to_lose(monkeypatch):
-    # only a home probe of a point whose own re-refine lost is skipped
-    finals, at_gamma0 = _scripted_escape(monkeypatch, ["A"], _LOSS_THEN_HOME)
-    assert finals == ["C"] and at_gamma0 == ["B", "A", "C"]
-    finals, at_gamma0 = _scripted_escape(monkeypatch, ["A"], _STALE_THEN_ACCEPT)
-    assert finals == ["C"] and at_gamma0 == ["A", "D", "B", "C"]
-    # as one stack the rows keep their own flags: C is skipped while A goes on
-    finals, at_gamma0 = _scripted_escape(monkeypatch, ["A", "C"], _STALE_THEN_ACCEPT)
-    assert finals == ["C", "C"] and at_gamma0 == ["A", "C", "D", "B", "C"]
+    # only a home probe of a point whose own re-refine lost is skipped, and a
+    # round re-refines each distinct probe point once
+    for starts, script, cells, finals, at_gamma0 in _SCRIPTED_RUNS:
+        with monkeypatch.context() as patch:
+            assert _scripted_escape(patch, starts, script, cells) == (finals, at_gamma0), (starts, cells)
 
 
 def test_escape_stats_and_determinism():

@@ -54,3 +54,24 @@ def test_pair_summary_on_fixed_numbers():
         "head: median 2.2500 s  quartiles 1.6250 / 2.6250  IQR 1.0000",
         "median head - base -0.2500 s (-10.0%); base IQR 1.5000 s",
     ]
+
+
+def test_pairs_exit_1_when_partitions_differ(tmp_path, monkeypatch, capsys):
+    compare = _compare()
+    listing = tmp_path / "cases.json"
+    listing.write_text(json.dumps([["g", "g.graph", 1]]))
+    trees = {"base": tmp_path / "base", "head": tmp_path / "head"}
+
+    def stub(digests):
+        def run(mode, tree, listing):
+            if mode == "trace":
+                return json.dumps({"cbp.refine_calls": 7})
+            return json.dumps({"solve_s": 1.0, "digest": digests[tree.name]})
+        return run
+
+    monkeypatch.setattr(compare, "_run", stub({"base": "same", "head": "same"}))
+    assert compare._pairs(trees, listing, "nd-batch", 2) == 0
+    assert "partitions: equal in every process" in capsys.readouterr().out
+    monkeypatch.setattr(compare, "_run", stub({"base": "one", "head": "other"}))
+    assert compare._pairs(trees, listing, "nd-batch", 2) == 1
+    assert "partitions: DIFFER between trees or runs" in capsys.readouterr().out

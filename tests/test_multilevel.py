@@ -403,7 +403,8 @@ def test_solve_coarsest_matches_start_loop():
         else:
             p = solve_coarsest(inst, params, stats=stats)
             assert np.array_equal(p.x, ref.x) and np.array_equal(p.y, ref.y)
-        assert stats == ref_stats
+        # escape's work counters depend on how the rows share a stack; its escapes do not
+        assert stats.get("escapes", 0) == ref_stats.get("escapes", 0)
 
 
 # -------------------------------------------------------------------- solve
