@@ -229,10 +229,10 @@ def solve_block_lp(g: Sequence[float], s: Sequence[float], l: int, u: int) -> np
       row is the only one of its stack outside the bounds, it sorts only
       the items on that side.
 
-    A stack with two or more rows outside the bounds sorts all its rows in
-    one batch: for the small stacks that occur, one batched sort costs
-    less than sorting the rows one by one.  Non-integer sizes raise
-    ValueError.
+    When two or more rows of a stack lie outside the bounds, those rows
+    are sorted in one batch and the rows within the bounds are left out:
+    for the small stacks that occur, one batched sort costs less than
+    sorting the rows one by one.  Non-integer sizes raise ValueError.
     """
     g = np.asarray(g, dtype=np.float64)
     s = np.ascontiguousarray(s, dtype=np.float64)
@@ -248,13 +248,12 @@ def solve_block_lp(g: Sequence[float], s: Sequence[float], l: int, u: int) -> np
     pos = G > 0
     size = np.dot(pos, s).tolist()  # P of each row, summed in index order
     hard = [i for i, p in enumerate(size) if not l <= p <= u]
+    v = pos.astype(np.float64)  # the rows within the bounds are done
     if len(hard) > 1:
-        v = _sorted_fill(G, pos, s, l, u)
-    else:
-        v = pos.astype(np.float64)  # the rows within the bounds are done
-        if hard:
-            i = hard[0]
-            _far_fill(v[i], G[i], pos[i], s, size[i], l, u)
+        v[hard] = _sorted_fill(G[hard], pos[hard], s, l, u)
+    elif hard:
+        i = hard[0]
+        _far_fill(v[i], G[i], pos[i], s, size[i], l, u)
     return v if g.ndim == 2 else v[0]
 
 
@@ -300,17 +299,26 @@ def _far_fill(row: np.ndarray, g: np.ndarray, pos: np.ndarray, s: np.ndarray, P:
 
 
 def refine(inst: CbpInstance, p: Point, gamma: float | np.ndarray) -> Point:
-    """Alternate exact block-LP updates of x and y until a full sweep gains <= EPS.
+    """Alternate exact block-LP updates of x and y to a blockwise fixed point.
+
+    A sweep updates x, then y.  A row stops when its sweep gains <= EPS, or
+    as soon as its next step is known to return the point it has: when
+    the new y equals the y it replaces (the next x-update would then
+    return this sweep's x, and the sweep after it would gain exactly 0),
+    or, from the second sweep on, when the new x equals the last sweep's
+    x (the y-update would then return the y the row has).  This rests on
+    ``bdot`` and ``solve_block_lp`` giving each row the same bits whatever
+    stack it sits in; the returned point is the one the sweeps would stop
+    at, bit for bit.
 
     The start must be feasible (see ``feasible``); a ValueError says it is
     not.  Every update then maximizes the objective over its block, so the
-    objective is nondecreasing at each step; every step is verified and a
-    MonotonicityError is raised on any violation.  The returned point is a
-    blockwise fixed point at the given gamma.
+    objective is nondecreasing at each step; every step taken is verified
+    and a MonotonicityError is raised on any violation.
 
     ``p`` may also be a stack, x and y of shape (rows, n), with ``gamma``
     one value or one per row.  Each row is refined as it would be on its
-    own, to the same bits: a converged row stops changing while the rows
+    own, to the same bits: a finished row stops changing while the rows
     still live sweep on.
     """
     x, y = _stacked_arrays(inst, p)
@@ -324,25 +332,36 @@ def refine(inst: CbpInstance, p: Point, gamma: float | np.ndarray) -> Point:
     live = np.arange(rows)
     by = inst.bdot(y)
     f_prev = _rowdot(x + y, c) - gammas[:, 0] * _rowdot(x, by)
+    first = True
     while True:
         gx = c - gammas * by
-        x = solve_block_lp(gx, s, inst.la, inst.ua)
-        f_x = _rowdot(gx, x) + _rowdot(y, c)
+        x_new = solve_block_lp(gx, s, inst.la, inst.ua)
+        f_x = _rowdot(gx, x_new) + _rowdot(y, c)
         _check_step(f_prev, f_x)
+        if not first:  # y already answers an x equal to the last sweep's
+            done = (x_new == x).all(axis=1)
+            if done.any():
+                out_x[live[done]], out_y[live[done]] = x_new[done], y[done]
+                if done.all():
+                    break
+                live, x_new, y, gammas, f_prev, f_x = (
+                    a[~done] for a in (live, x_new, y, gammas, f_prev, f_x)
+                )
+        first = False
+        x = x_new
 
         gy = c - gammas * inst.bdot(x)
-        y = solve_block_lp(gy, s, inst.lb, inst.ub)
-        f_y = _rowdot(gy, y) + _rowdot(x, c)
+        y_new = solve_block_lp(gy, s, inst.lb, inst.ub)
+        f_y = _rowdot(gy, y_new) + _rowdot(x, c)
         _check_step(f_x, f_y)
 
-        done = f_y - f_prev <= EPS
+        done = (f_y - f_prev <= EPS) | (y_new == y).all(axis=1)
+        y = y_new
         if done.any():
-            out_x[live[done]] = x[done]
-            out_y[live[done]] = y[done]
+            out_x[live[done]], out_y[live[done]] = x[done], y[done]
             if done.all():
                 break
-            going = ~done
-            live, x, y, gammas, f_y = live[going], x[going], y[going], gammas[going], f_y[going]
+            live, x, y, gammas, f_y = (a[~done] for a in (live, x, y, gammas, f_y))
         f_prev = f_y
         by = inst.bdot(y)
     return _shaped_like(p, out_x, out_y)

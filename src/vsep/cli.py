@@ -81,7 +81,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     part, trace = solve(g, params)
     wall = time.perf_counter() - start
 
-    problems = partition_violations(g, part, *params.bounds(g.n))
+    problems = partition_violations(g, part, *params.bounds(int(g.vertex_size.sum())))
     if problems:
         print(f"internal validation failed: {problems}", file=sys.stderr)
         return EXIT_INVALID
@@ -113,7 +113,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     g = _load_graph(args.input, args.format)
-    bounds = SolveParams(ub_fraction=args.ub_frac, la=args.lb, lb=args.lb).bounds(g.n)
+    params = SolveParams(ub_fraction=args.ub_frac, la=args.lb, lb=args.lb)
+    bounds = params.bounds(int(g.vertex_size.sum()))
     best = brute_force_vsp(g, *bounds)
     report: dict = {"input_path": str(args.input), "n": g.n, "feasible": best is not None}
     if best is not None:
@@ -174,7 +175,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
             continue
         wall = time.perf_counter() - start
-        problems = partition_violations(g, part, *params.bounds(g.n))
+        problems = partition_violations(g, part, *params.bounds(int(g.vertex_size.sum())))
         if ref_sep:
             ratio = part.separator_weight / ref_sep
         else:  # a zero reference is matched only by a zero separator
@@ -200,7 +201,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("input", help="graph file (.mtx or .graph)")
     sub.add_argument("--format", choices=("mtx", "metis"), help="override format inference")
     sub.add_argument(
-        "--ub-frac", type=float, default=SolveParams.ub_fraction, help="upper bound fraction for both sides"
+        "--ub-frac",
+        type=float,
+        default=SolveParams.ub_fraction,
+        help="upper bound on both sides, as a fraction of the total vertex size",
     )
     sub.add_argument("--lb", type=int, default=SolveParams.lb, help="lower bound on both side sizes")
     sub.add_argument("--output", choices=("plain", "json"), default="plain")

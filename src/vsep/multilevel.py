@@ -39,6 +39,7 @@ from .oracle import VSP_CAP, brute_force_vsp
 
 
 _MAX_LEVELS = 64  # build_hierarchy stops here even if matching still shrinks
+_PROOF_BITS = 1 << 24  # the subset-sum proof of the bounds is skipped above this many bits
 
 
 class InfeasibleError(RuntimeError):
@@ -74,9 +75,10 @@ class SolveParams:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
-    def bounds(self, n: int) -> tuple[int, int, int, int]:
-        """Side-size bounds (la, ua, lb, ub) for an n-vertex graph."""
-        ua = math.floor(self.ub_fraction * n)
+    def bounds(self, total: int) -> tuple[int, int, int, int]:
+        """Side-size bounds (la, ua, lb, ub) for a graph whose vertex sizes
+        sum to ``total`` (its vertex count when every size is 1)."""
+        ua = math.floor(self.ub_fraction * total)
         return self.la, ua, self.lb, ua
 
 
@@ -191,10 +193,11 @@ def prolong(coarse: Level, p: Point) -> Point:
 def build_hierarchy(g: Graph, params: SolveParams) -> Hierarchy:
     """Coarsen until the graph is small enough or matching stops shrinking it.
 
-    The sum bounds are fixed from the finest level (SolveParams.bounds);
-    the size vector keeps them meaningful on coarse levels.
+    The sum bounds are fixed from the finest level's total vertex size
+    (SolveParams.bounds); the size vector keeps them meaningful on coarse
+    levels.
     """
-    la, ua, lb, ub = params.bounds(g.n)
+    la, ua, lb, ub = params.bounds(int(g.vertex_size.sum()))
     if ua < la or ub < lb:
         raise InfeasibleError(f"upper bound {ua} below lower bounds ({la}, {lb})")
     levels = [Level(instance_from_graph(g, la, ua, lb, ub), None)]
@@ -222,6 +225,22 @@ def _sum_reachable(bits: int, l: int, u: int) -> bool:
     """Whether the subset-sum bitset has a sum in [l, u]."""
     window = (1 << max(u - l + 1, 0)) - 1
     return ((bits >> l) & window) != 0
+
+
+def _bounds_reachable(inst: CbpInstance) -> bool:
+    """Whether some subset of the sizes sums into each side's bounds.
+
+    Every subset sum is a multiple of d = gcd(s), so one bitset of the sums
+    of s / d serves both sides, with bounds ceil(l / d) and floor(u / d).
+    When the larger of those upper bounds exceeds _PROOF_BITS the bitset is
+    not built and the answer is True: the multistart decides."""
+    d = int(np.gcd.reduce(inst.s.astype(np.int64))) or 1
+    windows = [(-(-l // d), u // d) for l, u in ((inst.la, inst.ua), (inst.lb, inst.ub))]
+    top = max(u for _, u in windows)
+    if top > _PROOF_BITS:
+        return True
+    sums = _subset_sums(inst.s // d, top)
+    return all(_sum_reachable(sums, l, u) for l, u in windows)
 
 
 def _random_binary_side(
@@ -261,7 +280,8 @@ def solve_coarsest(
 
     Each start is a random feasible point (``_random_start``) drawn from its
     own seed ``(params.seed, start)``, after one subset-sum bitset of ``s``
-    has shown that both sides' bounds are reachable at all.  All starts are refined and
+    has shown that both sides' bounds are reachable at all (skipped for
+    sizes too large to prove, see ``_bounds_reachable``).  All starts are refined and
     escaped together, as one (multistarts, n) stack in which every row gets
     the result it would get alone; then each is rounded, and the best
     objective at gamma0 wins (first start on ties; a start whose rounding
@@ -270,8 +290,7 @@ def solve_coarsest(
     its solution is used when strictly better.  Raises InfeasibleError when
     no binary point can satisfy the bounds.
     """
-    sums = _subset_sums(inst.s, max(inst.ua, inst.ub))
-    if not (_sum_reachable(sums, inst.la, inst.ua) and _sum_reachable(sums, inst.lb, inst.ub)):
+    if not _bounds_reachable(inst):
         raise InfeasibleError("no binary point satisfies the sum bounds")
 
     starts = [

@@ -46,7 +46,7 @@ def gnp(n: int, p: float, seed: int) -> Graph:
 
 
 def default_instance(g: Graph) -> CbpInstance:
-    return instance_from_graph(g, *SolveParams().bounds(g.n))
+    return instance_from_graph(g, *SolveParams().bounds(int(g.vertex_size.sum())))
 
 
 def random_fractional_point(inst: CbpInstance, rng: np.random.Generator) -> Point:

@@ -372,9 +372,10 @@ def test_lp_sorts_only_what_the_answer_depends_on(monkeypatch):
     assert sorted_shapes == [(int((short <= 0).sum()),)]
 
     sorted_shapes.clear()
-    both = np.stack([rows["in"], over, short])  # two rows outside the bounds: one batched sort
+    # two rows outside the bounds: one batched sort of those rows only
+    both = np.stack([rows["in"], over, short])
     _assert_rows_match_item_loop(solve_block_lp(both, s, l, u), both, s, l, u)
-    assert sorted_shapes == [(3, n)]
+    assert sorted_shapes == [(2, n)]
 
 
 def test_lp_stack_shapes():
@@ -484,6 +485,86 @@ def test_refine_and_escape_stack_equal_rows():
         assert np.array_equal(out.x, np.stack([q.x for q in rows_out]))
         assert np.array_equal(out.y, np.stack([q.y for q in rows_out]))
         assert stats.get("escapes", 0) == row_stats.get("escapes", 0)
+
+
+def _refine_reference(inst, p, gamma):
+    """refine without its early stops: every row runs its confirming sweep
+    and leaves when a sweep gains <= EPS."""
+    x, y = cbp._stacked_arrays(inst, p)
+    gammas = np.empty((x.shape[0], 1))
+    gammas[:, 0] = gamma
+    c, s = inst.c, inst.s
+    out_x, out_y = np.empty_like(x), np.empty_like(y)
+    live = np.arange(x.shape[0])
+    by = inst.bdot(y)
+    f_prev = cbp._rowdot(x + y, c) - gammas[:, 0] * cbp._rowdot(x, by)
+    while True:
+        gx = c - gammas * by
+        x = cbp.solve_block_lp(gx, s, inst.la, inst.ua)
+        f_x = cbp._rowdot(gx, x) + cbp._rowdot(y, c)
+        cbp._check_step(f_prev, f_x)
+        gy = c - gammas * inst.bdot(x)
+        y = cbp.solve_block_lp(gy, s, inst.lb, inst.ub)
+        f_y = cbp._rowdot(gy, y) + cbp._rowdot(x, c)
+        cbp._check_step(f_x, f_y)
+        done = f_y - f_prev <= EPS
+        out_x[live[done]], out_y[live[done]] = x[done], y[done]
+        if done.all():
+            return cbp._shaped_like(p, out_x, out_y)
+        live, x, y, gammas, f_prev = (a[~done] for a in (live, x, y, gammas, f_y))
+        by = inst.bdot(y)
+
+
+def _tied_instance(rng, n):
+    """gnp instance with costs and sizes 1 or 2, so block-LP ratios tie often."""
+    base = gnp(n, float(rng.choice([0.05, 0.2, 0.5])), seed=int(rng.integers(1 << 30)))
+    g = Graph.from_edges(
+        n, list(base.edges()), vertex_cost=rng.integers(1, 3, size=n), vertex_size=rng.integers(1, 3, size=n)
+    )
+    ua = int(0.503 * int(g.vertex_size.sum()))
+    lb = int(rng.integers(0, ua // 2 + 1))
+    return instance_from_graph(g, lb, ua, lb, ua)
+
+
+def test_refine_early_stops_match_the_full_sweeps(monkeypatch):
+    calls = []
+    monkeypatch.setattr("vsep.cbp.solve_block_lp", lambda *args: calls.append(1) or solve_block_lp(*args))
+
+    def counted(fn, *args):
+        calls.clear()
+        out = fn(*args)
+        return out, len(calls)
+
+    rng = np.random.default_rng(73)
+    stops = set()
+    fewer = 0
+    for trial in range(60):
+        # dense copy of B up to _DENSE_LIMIT vertices, sparse products above
+        n = int(rng.integers(2, cbp._DENSE_LIMIT + 1)) if trial % 3 else int(rng.integers(cbp._DENSE_LIMIT + 1, 220))
+        inst = _tied_instance(rng, n) if trial % 2 else _costed_instance(rng, n)
+        rows = int(rng.integers(1, 7))
+        starts = [random_fractional_point(inst, rng) for _ in range(rows)]
+        # block-LP vertices and fixed points as well, where the first sweeps repeat
+        starts[1::3] = [refine(inst, q, inst.gamma0) for q in starts[1::3]]
+        starts[2::3] = [Point(q.x, refine(inst, q, 0.0).y) for q in starts[2::3]]
+        gammas = rng.choice([0.0, 0.5, 1.0, inst.gamma0, float(rng.uniform(0, inst.gamma0))], size=rows)
+
+        got, got_calls = counted(refine, inst, _stack(starts), gammas)
+        ref, ref_calls = counted(_refine_reference, inst, _stack(starts), gammas)
+        assert got.x.tobytes() == ref.x.tobytes() and got.y.tobytes() == ref.y.tobytes()
+        assert got_calls <= ref_calls
+        fewer += got_calls < ref_calls
+        for i, (q, gamma) in enumerate(zip(starts, gammas)):
+            alone, alone_calls = counted(refine, inst, q, gamma)
+            _, sweep_calls = counted(_refine_reference, inst, q, gamma)
+            assert alone.x.tobytes() == got.x[i].tobytes() and alone.y.tobytes() == got.y[i].tobytes()
+            # an odd count ends on the x stop; an even count below the reference's on the y stop
+            if alone_calls % 2:
+                stops.add("x")
+            elif alone_calls < sweep_calls:
+                stops.add("y")
+    assert stops == {"x", "y"}
+    assert fewer
 
 
 def _escape_loop(inst, p, gamma_steps=10, events=None):

@@ -126,15 +126,28 @@ def test_solve_contradictory_bounds_exit_3(tmp_path, capsys):
     assert code == 3
 
 
-def test_solve_huge_sizes_exit_3_fast(tmp_path, capsys):
-    # P5 with vertex sizes 10^12 (fmt 100: a size before each neighbour list);
-    # ua = 2 sits below every size, and the subset-sum check reads only up to it
-    rows = [" ".join(["1000000000000"] + [str(j + 1) for j in (i - 1, i + 1) if 0 <= j < 5]) for i in range(5)]
-    f = write(tmp_path, "p5.graph", "5 4 100\n" + "\n".join(rows) + "\n")
+def _sized_p5(size):
+    """P5 in METIS fmt 100 (a size before each neighbour list), every vertex of ``size``."""
+    rows = [" ".join([str(size)] + [str(j + 1) for j in (i - 1, i + 1) if 0 <= j < 5]) for i in range(5)]
+    return "5 4 100\n" + "\n".join(rows) + "\n"
+
+
+def test_solve_bounds_from_total_vertex_size(tmp_path, capsys):
+    # total size 15: ua = floor(0.503 * 15) = 7 holds two vertices of size 3 a side
+    f = write(tmp_path, "p5.graph", _sized_p5(3))
+    code, out, err = run(capsys, "solve", str(f))
+    assert (code, err) == (0, "")
+    assert "separator: 3\n" in out and "size_a: 2\n" in out and "size_b: 2\n" in out
+
+
+def test_solve_huge_sizes_fast(tmp_path, capsys):
+    # sizes 10^12: the subset-sum proof runs on the sizes divided by their gcd
+    f = write(tmp_path, "p5.graph", _sized_p5(10**12))
     start = time.perf_counter()
-    code, _, err = run(capsys, "solve", str(f))
+    code, out, err = run(capsys, "solve", str(f))
     assert time.perf_counter() - start < 0.5
-    assert (code, err) == (3, "error: no binary point satisfies the sum bounds\n")
+    assert (code, err) == (0, "")
+    assert "separator: 3\n" in out and "separator_weight: 1\n" in out
 
 
 def test_solve_zero_cost_path_exit_0(tmp_path, capsys):

@@ -28,6 +28,7 @@ from vsep.multilevel import (
     InfeasibleError,
     Level,
     SolveParams,
+    _bounds_reachable,
     _random_start,
     _subset_sums,
     _sum_reachable,
@@ -44,7 +45,7 @@ EPS = 1e-9
 
 
 def finest_level(g, la=1, ua=None, lb=1, ub=None):
-    ua = SolveParams().bounds(g.n)[1] if ua is None else ua
+    ua = SolveParams().bounds(int(g.vertex_size.sum()))[1] if ua is None else ua
     ub = ua if ub is None else ub
     return Level(instance_from_graph(g, la, ua, lb, ub), None)
 
@@ -339,12 +340,40 @@ def test_subset_sum_table_matches_reference():
         l = int(rng.integers(0, total + 2))
         u = int(rng.integers(l - 1, total + 3))
         assert _subset_sums(s, total).bit_length() == total + 1
-        top = max(l, u)  # solve_coarsest passes the larger upper bound
+        top = max(l, u)  # _bounds_reachable passes the larger upper bound
         bits = _subset_sums(s, top)
         assert bits.bit_length() <= top + 1
         assert _sum_reachable(bits, l, u) == _reachable_reference(s, l, u)
     # sizes past the cap never enter the bitset
     assert _subset_sums(np.array([1e12, 2.0, 1e12]), 3) == 0b101
+
+
+def test_bounds_reachable_divides_sizes_by_their_gcd():
+    rng = np.random.default_rng(31)
+    for trial in range(200):
+        n = int(rng.integers(1, 10))
+        s = int(rng.choice([1, 2, 3, 6])) * rng.integers(1, 6, size=n)
+        total = int(s.sum())
+        la, lb = (int(v) for v in rng.integers(0, total + 1, size=2))
+        ua, ub = int(rng.integers(la, total + 1)), int(rng.integers(lb, total + 1))
+        inst = instance_from_graph(Graph.from_edges(n, [], vertex_size=s), la, ua, lb, ub)
+        expected = _reachable_reference(s, la, ua) and _reachable_reference(s, lb, ub)
+        assert _bounds_reachable(inst) == expected
+
+
+def test_bounds_reachable_leaves_huge_sizes_to_the_multistart(monkeypatch):
+    calls = []
+    monkeypatch.setattr("vsep.multilevel._subset_sums", lambda *args: calls.append(args) or _subset_sums(*args))
+    # coprime sizes near 10^12: no subset sums into [1, 10^11], but the proof
+    # would need 10^11 bits, so it is skipped and the search decides
+    g = Graph.from_edges(3, [], vertex_size=[10**12, 10**12 + 1, 10**12 + 3])
+    inst = instance_from_graph(g, 1, 10**11, 1, 10**11)
+    assert _bounds_reachable(inst) and calls == []
+    with pytest.raises(InfeasibleError):
+        solve_coarsest(inst, SolveParams(multistarts=2))
+    # a common factor of 10^12 brings the proof back to a few bits
+    inst = instance_from_graph(Graph.from_edges(3, [], vertex_size=[10**12] * 3), 1, 10**11, 1, 10**11)
+    assert not _bounds_reachable(inst) and len(calls) == 1
 
 
 def test_random_start_falls_back_to_the_block_lp(monkeypatch):
@@ -515,6 +544,9 @@ def test_solve_rejects_invalid_graph():
 
 def test_params_bounds():
     assert SolveParams().bounds(100) == (1, 50, 1, 50)
+    # the bounds read the total vertex size, as build_hierarchy passes it
+    g = Graph.from_edges(5, [(i, i + 1) for i in range(4)], vertex_size=[3] * 5)
+    assert build_hierarchy(g, SolveParams()).levels[0].inst.ua == SolveParams().bounds(15)[1] == 7
     assert SolveParams(ub_fraction=0.6, la=2, lb=3).bounds(7) == (2, 4, 3, 4)
 
 
