@@ -19,8 +19,10 @@ differs, and ``outputs: equal`` or ``outputs: DIFFER`` (exit status 1).
 With ``--workload`` (and ``--base``) the trees run in alternating pairs
 of processes; each reports the sum of each graph's fastest of three
 solves.  The script prints the pairs, the head's wins, both quartiles,
-the median shift, whether the partitions agree (exit status 1 when they
-differ), and the call counters of one pass per tree under
+the median shift, a verdict (``faster`` or ``slower`` when nine tenths of
+the pairs agree and the shift exceeds the base IQR, else ``within
+noise``), whether the partitions agree (exit status 1 when they differ),
+and the call counters of one pass per tree under
 ``perfbench/tracing.py``: timing two trees that do different work
 compares more than their speed.
 """
@@ -149,20 +151,30 @@ def _run(mode: str, tree: Path, listing: Path) -> str:
 
 
 def pair_summary(base: list[float], head: list[float]) -> list[str]:
-    """The wins, both sides' medians and quartiles, and the median shift."""
+    """The wins, both sides' medians and quartiles, the median shift and a
+    verdict: head is faster (slower) when at least nine tenths of the pairs
+    go that way and the median shift exceeds the base IQR, else the runs are
+    within noise."""
 
     def spread(values: list[float]) -> str:
         q1, med, q3 = np.percentile(values, [25, 50, 75])
         return f"median {med:.4f} s  quartiles {q1:.4f} / {q3:.4f}  IQR {q3 - q1:.4f}"
 
     wins = sum(h < b for b, h in zip(base, head))
+    losses = sum(h > b for b, h in zip(base, head))
     shift = float(np.median(head) - np.median(base))
     q1, q3 = np.percentile(base, [25, 75])
+    verdict = "within noise"
+    if 10 * wins >= 9 * len(base) and -shift > q3 - q1:
+        verdict = "faster"
+    elif 10 * losses >= 9 * len(base) and shift > q3 - q1:
+        verdict = "slower"
     return [
         f"head faster in {wins} of {len(base)} pairs",
         f"base: {spread(base)}",
         f"head: {spread(head)}",
         f"median head - base {shift:+.4f} s ({shift / np.median(base):+.1%}); base IQR {q3 - q1:.4f} s",
+        f"verdict: {verdict}",
     ]
 
 

@@ -556,11 +556,7 @@ def escape(
     round refines each live row's next w steps as one stack, w =
     max(1, _PROBE_CELLS // (live rows * n)) or the steps left, and takes
     the first winning step; the results after it are dropped.  Within a
-    round each distinct probe point is re-refined once.  A probe that
-    returns the current point bit for bit would re-refine to the same
-    point as the current point's own re-refine at gamma0.  Once that
-    re-refine has lost, the row is stale: such probes skip it, and
-    accepting a new point clears the flag.
+    round each distinct probe point is re-refined once.
     """
     K = int(gamma_steps)
     x, y = _stacked_arrays(inst, p)
@@ -570,7 +566,6 @@ def escape(
     f_curr = objective(inst, Point(x, y), gamma0)
     escapes = probes = rerefines = 0
     k = np.ones(rows, dtype=np.int64)
-    stale = np.zeros(rows, dtype=bool)
     while True:
         live = np.flatnonzero(k <= K)
         if not live.size:
@@ -578,31 +573,25 @@ def escape(
         width = np.minimum(K + 1 - k[live], max(1, _PROBE_CELLS // (live.size * max(inst.n, 1))))
         src = np.repeat(live, width)  # each probe's row; a row's steps follow in order
         step = k[src] + np.arange(src.size) - np.repeat(np.cumsum(width) - width, width)
-        xs, ys = x[src], y[src]
-        probe = refine(inst, Point(xs, ys), gamma0 * (1.0 - step / K))
+        probe = refine(inst, Point(x[src], y[src]), gamma0 * (1.0 - step / K))
         probes += src.size
         k[live] += width
-        home = (probe.x == xs).all(axis=1) & (probe.y == ys).all(axis=1)
-        redo = np.flatnonzero(~(home & stale[src]))
-        stale[src[home]] = True
-        if not redo.size:
-            continue
-        uniq, slot = redo, np.arange(redo.size)  # slot: the re-refine row of each redo
-        if redo.size > 1:  # one re-refine per distinct probe point
+        slot = np.arange(src.size)  # the re-refine row of each probe
+        if src.size > 1:  # one re-refine per distinct probe point
             seen: dict[bytes, int] = {}
-            keys = [probe.x[i].tobytes() + probe.y[i].tobytes() for i in redo.tolist()]
+            keys = [px.tobytes() + py.tobytes() for px, py in zip(probe.x, probe.y)]
             slot = np.array([seen.setdefault(key, len(seen)) for key in keys])
-            uniq = redo[np.unique(slot, return_index=True)[1]]
-        back = refine(inst, Point(probe.x[uniq], probe.y[uniq]), gamma0)
-        rerefines += uniq.size
+            uniq = np.unique(slot, return_index=True)[1]
+            probe = Point(probe.x[uniq], probe.y[uniq])
+        back = refine(inst, probe, gamma0)
+        rerefines += back.x.shape[0]
         f_back = objective(inst, back, gamma0)
-        better = f_back[slot] > f_curr[src[redo]] + EPS
-        won, first = np.unique(src[redo[better]], return_index=True)  # each row's first win
+        better = f_back[slot] > f_curr[src] + EPS
+        won, first = np.unique(src[better], return_index=True)  # each row's first win
         b = slot[better][first]
         x[won], y[won], f_curr[won] = back.x[b], back.y[b], f_back[b]
         escapes += won.size
         k[won] = 1
-        stale[won] = False
     if stats is not None:
         for key, value in (("escapes", escapes), ("probes", probes), ("rerefines", rerefines)):
             stats[key] = stats.get(key, 0) + value

@@ -100,9 +100,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         },
         "separator_weight": part.separator_weight,
         "separator_size": len(part.s),
-        "size_a": len(part.a),
-        "size_b": len(part.b),
-        "size_s": len(part.s),
+        # total vertex sizes, which the bounds constrain
+        "size_a": int(g.vertex_size[list(part.a)].sum()),
+        "size_b": int(g.vertex_size[list(part.b)].sum()),
+        "size_s": int(g.vertex_size[list(part.s)].sum()),
         "separator": [v + 1 for v in part.s],
         "trace": [asdict(t) for t in trace],
         "wall_time_sec": round(wall, 6),

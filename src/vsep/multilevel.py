@@ -351,6 +351,11 @@ def solve(g: Graph, params: SolveParams | None = None) -> tuple[Partition, list[
     one prolongs the point from the level below, refines, escapes and
     rounds it.  Returns the finest-level partition and one trace record per
     level (coarsest first).
+
+    Coarsening can make a feasible graph look infeasible.  When the walk
+    raises InfeasibleError or DegenerateRepairError on a graph of n <=
+    VSP_CAP, the exhaustive oracle answers on the graph itself, with a
+    one-level trace; InfeasibleError then means that no partition exists.
     """
     params = params or SolveParams()
     problems = validate(g)
@@ -359,26 +364,37 @@ def solve(g: Graph, params: SolveParams | None = None) -> tuple[Partition, list[
     levels = build_hierarchy(g, params).levels
 
     trace: list[LevelTrace] = []
-    for li in range(len(levels) - 1, -1, -1):
-        inst = levels[li].inst
-        stats: dict = {}
-        if li == len(levels) - 1:
-            f_before = None
-            p = solve_coarsest(inst, params, stats=stats)
-        else:
-            p = prolong(levels[li + 1], p)
-            f_before = objective(inst, p, inst.gamma0)
-            p = refine(inst, p, inst.gamma0)
-            p = escape(inst, p, gamma_steps=params.gamma_steps, stats=stats)
-            p = round_to_binary(inst, p)
-        trace.append(
-            LevelTrace(
-                level=li,
-                n=inst.n,
-                objective_before=f_before,
-                objective_after=objective(inst, p, inst.gamma0),
-                escapes=stats.get("escapes", 0),
-                separator_weight=_separator_weight(inst, p),
+    try:
+        for li in range(len(levels) - 1, -1, -1):
+            inst = levels[li].inst
+            stats: dict = {}
+            if li == len(levels) - 1:
+                f_before = None
+                p = solve_coarsest(inst, params, stats=stats)
+            else:
+                p = prolong(levels[li + 1], p)
+                f_before = objective(inst, p, inst.gamma0)
+                p = refine(inst, p, inst.gamma0)
+                p = escape(inst, p, gamma_steps=params.gamma_steps, stats=stats)
+                p = round_to_binary(inst, p)
+            trace.append(
+                LevelTrace(
+                    level=li,
+                    n=inst.n,
+                    objective_before=f_before,
+                    objective_after=objective(inst, p, inst.gamma0),
+                    escapes=stats.get("escapes", 0),
+                    separator_weight=_separator_weight(inst, p),
+                )
             )
-        )
+    except (InfeasibleError, DegenerateRepairError):
+        if g.n > VSP_CAP:
+            raise
+        inst = levels[0].inst
+        part = brute_force_vsp(g, inst.la, inst.ua, inst.lb, inst.ub)
+        if part is None:
+            raise InfeasibleError("exhaustive search found no valid partition")
+        w = part.separator_weight
+        f = float(inst.c.sum()) - w  # the objective of a binary orthogonal point
+        return part, [LevelTrace(0, g.n, objective_before=None, objective_after=f, escapes=0, separator_weight=w)]
     return extract_partition(levels[0].inst, p), trace

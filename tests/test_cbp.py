@@ -570,7 +570,7 @@ def test_refine_early_stops_match_the_full_sweeps(monkeypatch):
 def _escape_loop(inst, p, gamma_steps=10, events=None):
     """Point-by-point reference of escape: returns the point and its escapes.
 
-    ``events`` collects (probe returned home, probe won) for every probe."""
+    ``events`` collects, for every probe, whether it won."""
     current, f_curr = p, objective(inst, p, inst.gamma0)
     escapes, k = 0, 1
     while k <= gamma_steps:
@@ -578,8 +578,7 @@ def _escape_loop(inst, p, gamma_steps=10, events=None):
         back = refine(inst, probe, inst.gamma0)
         f_back = objective(inst, back, inst.gamma0)
         if events is not None:
-            home = np.array_equal(probe.x, current.x) and np.array_equal(probe.y, current.y)
-            events.append((home, f_back > f_curr + EPS))
+            events.append(f_back > f_curr + EPS)
         if f_back > f_curr + EPS:
             current, f_curr, escapes, k = back, f_back, escapes + 1, 1
         else:
@@ -602,20 +601,10 @@ def test_escape_stack_matches_point_loop():
         assert stats["escapes"] == sum(e for _, e in ref)
 
 
-def _stale_wins(events):
-    """Wins that follow a losing home probe of the same current point."""
-    count, stale = 0, False
-    for home, won in events:
-        count += won and stale
-        stale = not won and (stale or home)
-    return count
-
-
 def test_escape_probe_widths_match_point_loop():
     # first-round widths 1, 3 (no divisor of K = 10) and K, and K = 1; half of
     # each stack repeats rows, whose probe points share one re-refine
     rng = np.random.default_rng(67)
-    stale_wins = 0
     for rows, n, steps, width in [(40, 60, 10, 1), (18, 60, 10, 3), (4, 60, 10, 10), (6, 30, 1, 1)]:
         assert min(steps, max(1, cbp._PROBE_CELLS // (rows * n))) == width
         inst = _costed_instance(rng, n)
@@ -625,20 +614,16 @@ def test_escape_probe_widths_match_point_loop():
         out = escape(inst, _stack(starts), gamma_steps=steps, stats=stats)
         ref_escapes, alone_stats = 0, {}
         for i, q in enumerate(starts):
-            events = []
-            ref, escapes = _escape_loop(inst, q, steps, events)
+            ref, escapes = _escape_loop(inst, q, steps)
             alone = escape(inst, q, gamma_steps=steps, stats=alone_stats)
             for got in (ref, alone):
                 assert out.x[i].tobytes() == got.x.tobytes() and out.y[i].tobytes() == got.y.tobytes()
             ref_escapes += escapes
-            if width == steps and steps > 1:
-                stale_wins += _stale_wins(events)
         assert stats["escapes"] == alone_stats["escapes"] == ref_escapes
         if width == steps:  # each row walks alone: repeats add probes, not re-refines
             once: dict = {}
             escape(inst, _stack(distinct), gamma_steps=steps, stats=once)
             assert once["rerefines"] == stats["rerefines"] and once["probes"] < stats["probes"]
-    assert stale_wins  # a row turned stale before a later win in the same round
 
 
 def test_escape_counts_its_probe_and_re_refine_rows(monkeypatch):
@@ -1093,7 +1078,7 @@ _LOSS_THEN_HOME = {  # a non-home probe loses, a home probe's re-refine wins, a 
     ("A", 2): "B", ("B", 3): "A", ("A", 1): "A", ("A", 3): "C", ("A", 0): "D", ("D", 3): "D",
     ("C", 2): "C", ("C", 3): "C", ("C", 1): "C", ("C", 0): "C",
 }
-_STALE_THEN_ACCEPT = {  # a home probe loses, a later one wins, then home again
+_HOME_THEN_ACCEPT = {  # a home probe loses, a later one wins, then home again
     ("A", 2): "A", ("A", 3): "A", ("A", 1): "D", ("A", 0): "A", ("D", 3): "B",
     ("B", 2): "B", ("B", 3): "C", ("B", 1): "B", ("B", 0): "B",
     ("C", 2): "C", ("C", 3): "C", ("C", 1): "C", ("C", 0): "C",
@@ -1105,26 +1090,28 @@ _SCRIPTED_RUNS = [
     # all three steps in one round: each distinct probe point is re-refined
     # once, and D, which also wins, comes after the first win and is dropped
     (["A"], _LOSS_THEN_HOME, None, ["C"], ["B", "A", "D", "C"]),
-    # A turns stale in the round in which D wins; its second home probe
-    # shares the first one's re-refine
-    (["A"], _STALE_THEN_ACCEPT, None, ["C"], ["A", "D", "B", "C"]),
-    # rows keep their own flags and objectives, and share re-refines
-    (["A", "C"], _STALE_THEN_ACCEPT, None, ["C", "C"], ["A", "D", "C", "B", "C"]),
-    (["A", "A"], _STALE_THEN_ACCEPT, None, ["C", "C"], ["A", "D", "B", "C"]),
-    # two steps a round: the home probe of stale C in the last round is skipped
-    (["A"], _LOSS_THEN_HOME, 4, ["C"], ["B", "A", "C"]),
-    (["A"], _STALE_THEN_ACCEPT, 4, ["C"], ["A", "D", "B", "C"]),
-    # one step a round, the point-by-point walk: C is skipped while A goes on
-    (["A"], _LOSS_THEN_HOME, 1, ["C"], ["B", "A", "C"]),
-    (["A"], _STALE_THEN_ACCEPT, 1, ["C"], ["A", "D", "B", "C"]),
-    (["A", "C"], _STALE_THEN_ACCEPT, 1, ["C", "C"], ["A", "C", "D", "B", "C"]),
-    (["A", "A"], _STALE_THEN_ACCEPT, 1, ["C", "C"], ["A", "D", "B", "C"]),
+    # A's home probe loses in the round in which D wins; its second home
+    # probe shares the first one's re-refine
+    (["A"], _HOME_THEN_ACCEPT, None, ["C"], ["A", "D", "B", "C"]),
+    # rows keep their own steps and objectives, and share re-refines
+    (["A", "C"], _HOME_THEN_ACCEPT, None, ["C", "C"], ["A", "D", "C", "B", "C"]),
+    (["A", "A"], _HOME_THEN_ACCEPT, None, ["C", "C"], ["A", "D", "B", "C"]),
+    # two steps a round: a round shares re-refines only among its own
+    # probes, so C's home probe is re-refined again in the last round
+    (["A"], _LOSS_THEN_HOME, 4, ["C"], ["B", "A", "C", "C"]),
+    (["A"], _HOME_THEN_ACCEPT, 4, ["C"], ["A", "D", "B", "C", "C"]),
+    # one step a round, the point-by-point walk: every probe of a lone row is
+    # re-refined, and rows share re-refines within a round
+    (["A"], _LOSS_THEN_HOME, 1, ["C"], ["B", "A", "C", "C", "C"]),
+    (["A"], _HOME_THEN_ACCEPT, 1, ["C"], ["A", "D", "B", "C", "C", "C"]),
+    (["A", "C"], _HOME_THEN_ACCEPT, 1, ["C", "C"], ["A", "C", "D", "C", "B", "C", "C", "C", "C"]),
+    (["A", "A"], _HOME_THEN_ACCEPT, 1, ["C", "C"], ["A", "D", "B", "C", "C", "C"]),
 ]
 
 
-def test_escape_skips_only_re_refines_known_to_lose(monkeypatch):
-    # only a home probe of a point whose own re-refine lost is skipped, and a
-    # round re-refines each distinct probe point once
+def test_escape_re_refines_each_distinct_probe_point_once(monkeypatch):
+    # every probe goes through its round's dedupe: a round re-refines each
+    # distinct probe point once, and skips none
     for starts, script, cells, finals, at_gamma0 in _SCRIPTED_RUNS:
         with monkeypatch.context() as patch:
             assert _scripted_escape(patch, starts, script, cells) == (finals, at_gamma0), (starts, cells)

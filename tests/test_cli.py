@@ -120,6 +120,18 @@ def test_solve_infeasible_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_solve_feasible_after_infeasible_coarsening_exit_0(tmp_path, capsys):
+    # P5 coarsens to two adjacent aggregates, which no separator splits; the
+    # oracle answers on the graph itself
+    f = write(tmp_path, "p5.graph", P5_METIS)
+    code, out, err = run(capsys, "solve", str(f), "--coarsest-size", "2")
+    assert (code, err) == (0, "")
+    assert "separator: 3\n" in out and "separator_weight: 1\n" in out
+    assert [ln for ln in out.splitlines() if ln.startswith("trace")] == [
+        "trace level 0: n=5 objective_before=None objective_after=4.0 escapes=0 separator_weight=1"
+    ]
+
+
 def test_solve_contradictory_bounds_exit_3(tmp_path, capsys):
     f = write(tmp_path, "p5.graph", P5_METIS)
     code, _, _ = run(capsys, "solve", str(f), "--ub-frac", "0.1")
@@ -137,7 +149,8 @@ def test_solve_bounds_from_total_vertex_size(tmp_path, capsys):
     f = write(tmp_path, "p5.graph", _sized_p5(3))
     code, out, err = run(capsys, "solve", str(f))
     assert (code, err) == (0, "")
-    assert "separator: 3\n" in out and "size_a: 2\n" in out and "size_b: 2\n" in out
+    assert "separator: 3\n" in out and "separator_size: 1\n" in out
+    assert "size_a: 6\n" in out and "size_b: 6\n" in out and "size_s: 3\n" in out
 
 
 def test_solve_huge_sizes_fast(tmp_path, capsys):

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from vsep import SolveParams
 
 from test_cli import K4_METIS, P5_METIS
@@ -53,7 +55,24 @@ def test_pair_summary_on_fixed_numbers():
         "base: median 2.5000 s  quartiles 1.7500 / 3.2500  IQR 1.5000",
         "head: median 2.2500 s  quartiles 1.6250 / 2.6250  IQR 1.0000",
         "median head - base -0.2500 s (-10.0%); base IQR 1.5000 s",
+        "verdict: within noise",
     ]
+
+
+_BASE10 = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # IQR 0.45
+
+
+@pytest.mark.parametrize(
+    "head, verdict",
+    [
+        ([b - 0.5 for b in _BASE10[:9]] + [2.0], "faster"),  # 9 of 10, shift -0.5
+        ([b + 0.6 for b in _BASE10[:9]] + [1.8], "slower"),  # 9 of 10 the other way, shift +0.5
+        ([b - 0.5 for b in _BASE10[:8]] + [1.9, 2.0], "within noise"),  # 8 of 10
+        ([b - 0.4 for b in _BASE10[:9]] + [2.0], "within noise"),  # shift within the IQR
+    ],
+)
+def test_pair_summary_verdict(head, verdict):
+    assert _compare().pair_summary(_BASE10, head)[-1] == f"verdict: {verdict}"
 
 
 def test_pairs_exit_1_when_partitions_differ(tmp_path, monkeypatch, capsys):

@@ -40,6 +40,7 @@ from vsep.multilevel import (
     solve,
     solve_coarsest,
 )
+from vsep.oracle import brute_force_vsp
 
 EPS = 1e-9
 
@@ -455,6 +456,34 @@ def test_solve_edgeless_ten():
 def test_solve_k4_infeasible():
     with pytest.raises(InfeasibleError):
         solve(complete_graph(4))
+
+
+def test_solve_oracle_answers_small_graphs_coarsening_makes_infeasible():
+    # raised lower bounds and coarsening down to 2-4 aggregates make the walk
+    # fail on feasible graphs; for n <= 16 the oracle then answers exactly
+    rng = np.random.default_rng(1801)
+    answered = infeasible = 0
+    for trial in range(24):
+        n = int(rng.integers(13, 17))
+        lb = int(rng.choice([2, n // 4, n // 3]))
+        params = SolveParams(la=lb, lb=lb, coarsest_size=int(rng.integers(2, 5)))
+        g = gnp(n, float(rng.choice([0.15, 0.3, 0.5])), seed=1800 + trial)
+        bounds = params.bounds(n)
+        ref = brute_force_vsp(g, *bounds)
+        if ref is None:
+            with pytest.raises(InfeasibleError):
+                solve(g, params)
+            infeasible += 1
+            continue
+        part, trace = solve(g, params)
+        assert partition_violations(g, part, *bounds) == []
+        assert part.separator_weight >= ref.separator_weight
+        if len(trace) < len(build_hierarchy(g, params).levels):  # the oracle answered
+            assert part == ref
+            assert (trace[0].n, trace[0].escapes, trace[0].separator_weight) == (n, 0, ref.separator_weight)
+            assert trace[0].objective_after == g.vertex_cost.sum() - ref.separator_weight
+            answered += 1
+    assert answered >= 10 and infeasible
 
 
 def test_solve_deterministic():
