@@ -22,6 +22,7 @@ solves.  The script prints the pairs, the head's wins, both quartiles,
 the median shift, a verdict (``faster`` or ``slower`` when nine tenths of
 the pairs agree and the shift exceeds the base IQR, else ``within
 noise``), whether the partitions agree (exit status 1 when they differ),
+each tree's median peak RSS (``ru_maxrss``) over its timing processes,
 and the call counters of one pass per tree under
 ``perfbench/tracing.py``: timing two trees that do different work
 compares more than their speed.
@@ -34,6 +35,7 @@ import contextlib
 import hashlib
 import io
 import json
+import resource
 import subprocess
 import sys
 import tempfile
@@ -94,7 +96,8 @@ def worker(mode: str, src: Path, listing: Path) -> None:
     """Run the listed graphs with the ``vsep`` under ``src`` and print the result.
 
     ``digest``: one digest line per graph.  ``time``: the sum of per-graph
-    best-of-REPEATS solve times and a digest of the partitions, as JSON.
+    best-of-REPEATS solve times, a digest of the partitions and the
+    process's peak RSS in MB, as JSON.
     ``trace``: the count metrics of one traced pass, as JSON.
     """
     vsep = _import("vsep", src)
@@ -137,7 +140,8 @@ def worker(mode: str, src: Path, listing: Path) -> None:
             best[i] = min(best[i], time.perf_counter() - start)
             if rep == 0:
                 digest.update(repr(part).encode())
-    print(json.dumps({"solve_s": sum(best), "digest": digest.hexdigest()}))
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
+    print(json.dumps({"solve_s": sum(best), "digest": digest.hexdigest(), "peak_rss_mb": peak_mb}))
 
 
 def _run(mode: str, tree: Path, listing: Path) -> str:
@@ -198,18 +202,22 @@ def _pairs(trees: dict[str, Path], listing: Path, workload: str, pairs: int) -> 
     count = len(json.loads(listing.read_text()))
     print(f"workload {workload}: {count} graphs, sum of per-graph best-of-{REPEATS} solve times")
     times: dict[str, list[float]] = {"base": [], "head": []}
+    peaks: dict[str, list[float]] = {"base": [], "head": []}
     digests: dict[str, set[str]] = {"base": set(), "head": set()}
     for pair in range(pairs):
         order = ("base", "head") if pair % 2 == 0 else ("head", "base")
         for name in order:
             out = json.loads(_run("time", trees[name], listing))
             times[name].append(out["solve_s"])
+            peaks[name].append(out["peak_rss_mb"])
             digests[name].add(out["digest"])
         base, head = times["base"][-1], times["head"][-1]
         print(f"pair {pair + 1:2d} ({order[0]} first)  base {base:.4f} s  head {head:.4f} s  head/base {head / base:.3f}", flush=True)
     print(*pair_summary(times["base"], times["head"]), sep="\n")
     same = len(digests["base"] | digests["head"]) == 1
     print("partitions: " + ("equal in every process" if same else "DIFFER between trees or runs"))
+    base_mb, head_mb = (float(np.median(peaks[name])) for name in ("base", "head"))
+    print(f"peak RSS, median ru_maxrss of the timing processes: base {base_mb:.1f} MB  head {head_mb:.1f} MB  head/base {head_mb / base_mb:.3f}")
 
     counters = {name: json.loads(_run("trace", tree, listing)) for name, tree in trees.items()}
     print(f"{'traced counters, one pass per tree':34s} {'base':>16s}  {'head':>16s}")

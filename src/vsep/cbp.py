@@ -12,6 +12,7 @@ the rest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -550,13 +551,21 @@ def escape(
     own k, current point and objective, and gets the result it would get
     on its own.  ``stats["escapes"]`` grows by the accepted improvements
     of all rows, ``stats["probes"]`` by the probe rows refined and
-    ``stats["rerefines"]`` by the re-refine rows run.
+    ``stats["rerefines"]`` by the re-refine rows refined; rows the call
+    leaves out, as below, are not counted.
 
     Until a row accepts, every probe starts from its current point, so a
     round refines each live row's next w steps as one stack, w =
     max(1, _PROBE_CELLS // (live rows * n)) or the steps left, and takes
-    the first winning step; the results after it are dropped.  Within a
-    round each distinct probe point is re-refined once.
+    the first winning step; the results after it are dropped.  Rows with
+    the same point and k walk as one row, which counts an escape for each
+    row it stands for, and the others copy its result; states can only
+    meet at the start or among rows that accept in the same round, so
+    only those are compared.  Within a round each distinct probe point is
+    re-refined once, and the call remembers the objective at gamma0 of
+    every point it re-refined: a known point that cannot beat its rows'
+    objectives is not re-refined again.  This rests on ``refine`` and
+    ``objective`` giving each row the same bits in any stack.
     """
     K = int(gamma_steps)
     x, y = _stacked_arrays(inst, p)
@@ -566,7 +575,19 @@ def escape(
     f_curr = objective(inst, Point(x, y), gamma0)
     escapes = probes = rerefines = 0
     k = np.ones(rows, dtype=np.int64)
+    alias = np.arange(rows)  # the row whose result each row copies
+    weight = np.ones(rows, dtype=np.int64)  # the rows each walking row stands for
+    known: dict[bytes, float] = {}  # objective at gamma0 of each re-refined probe point
     while True:
+        fresh = np.flatnonzero(k == 1)  # at the start, or this round's accepts
+        if fresh.size > 1:
+            kept: dict[bytes, int] = {}
+            for r in fresh.tolist():
+                keep = kept.setdefault(x[r].tobytes() + y[r].tobytes(), r)
+                if keep != r:
+                    alias[alias == r] = keep
+                    weight[keep] += weight[r]
+                    k[r] = K + 1
         live = np.flatnonzero(k <= K)
         if not live.size:
             break
@@ -576,26 +597,31 @@ def escape(
         probe = refine(inst, Point(x[src], y[src]), gamma0 * (1.0 - step / K))
         probes += src.size
         k[live] += width
-        slot = np.arange(src.size)  # the re-refine row of each probe
-        if src.size > 1:  # one re-refine per distinct probe point
-            seen: dict[bytes, int] = {}
-            keys = [px.tobytes() + py.tobytes() for px, py in zip(probe.x, probe.y)]
-            slot = np.array([seen.setdefault(key, len(seen)) for key in keys])
-            uniq = np.unique(slot, return_index=True)[1]
-            probe = Point(probe.x[uniq], probe.y[uniq])
-        back = refine(inst, probe, gamma0)
-        rerefines += back.x.shape[0]
-        f_back = objective(inst, back, gamma0)
-        better = f_back[slot] > f_curr[src] + EPS
+        seen: dict[bytes, int] = {}  # each distinct probe point's slot
+        keys = (px.tobytes() + py.tobytes() for px, py in zip(probe.x, probe.y))
+        slot = np.array([seen.setdefault(key, len(seen)) for key in keys])
+        f_slot = np.array([known.get(key, np.inf) for key in seen])  # inf: not yet known
+        bar = f_curr[src] + EPS
+        redo = np.zeros(len(seen), dtype=bool)
+        redo[slot[f_slot[slot] > bar]] = True  # unknown, or known to win for a row
+        if redo.any():
+            picked = np.unique(slot, return_index=True)[1][redo]  # a probe of each slot to redo
+            back = refine(inst, Point(probe.x[picked], probe.y[picked]), gamma0)
+            rerefines += picked.size
+            f_slot[redo] = objective(inst, back, gamma0)
+            known.update(zip(compress(seen, redo.tolist()), f_slot[redo].tolist()))
+        better = f_slot[slot] > bar
         won, first = np.unique(src[better], return_index=True)  # each row's first win
-        b = slot[better][first]
-        x[won], y[won], f_curr[won] = back.x[b], back.y[b], f_back[b]
-        escapes += won.size
-        k[won] = 1
+        if won.size:
+            b = slot[better][first]
+            back_row = np.cumsum(redo)[b] - 1
+            x[won], y[won], f_curr[won] = back.x[back_row], back.y[back_row], f_slot[b]
+            escapes += int(weight[won].sum())
+            k[won] = 1
     if stats is not None:
         for key, value in (("escapes", escapes), ("probes", probes), ("rerefines", rerefines)):
             stats[key] = stats.get(key, 0) + value
-    return _shaped_like(p, x, y)
+    return _shaped_like(p, x[alias], y[alias])
 
 
 def partition_violations(

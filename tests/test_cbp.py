@@ -570,12 +570,13 @@ def test_refine_early_stops_match_the_full_sweeps(monkeypatch):
 def _escape_loop(inst, p, gamma_steps=10, events=None):
     """Point-by-point reference of escape: returns the point and its escapes.
 
-    ``events`` collects, for every probe, whether it won."""
+    ``events`` collects, for every probe, whether it won.  It refines through
+    ``cbp.refine``, so a patched refine serves both walks."""
     current, f_curr = p, objective(inst, p, inst.gamma0)
     escapes, k = 0, 1
     while k <= gamma_steps:
-        probe = refine(inst, current, inst.gamma0 * (1.0 - k / gamma_steps))
-        back = refine(inst, probe, inst.gamma0)
+        probe = cbp.refine(inst, current, inst.gamma0 * (1.0 - k / gamma_steps))
+        back = cbp.refine(inst, probe, inst.gamma0)
         f_back = objective(inst, back, inst.gamma0)
         if events is not None:
             events.append(f_back > f_curr + EPS)
@@ -603,7 +604,7 @@ def test_escape_stack_matches_point_loop():
 
 def test_escape_probe_widths_match_point_loop():
     # first-round widths 1, 3 (no divisor of K = 10) and K, and K = 1; half of
-    # each stack repeats rows, whose probe points share one re-refine
+    # each stack repeats rows, which walk as one row
     rng = np.random.default_rng(67)
     for rows, n, steps, width in [(40, 60, 10, 1), (18, 60, 10, 3), (4, 60, 10, 10), (6, 30, 1, 1)]:
         assert min(steps, max(1, cbp._PROBE_CELLS // (rows * n))) == width
@@ -620,10 +621,10 @@ def test_escape_probe_widths_match_point_loop():
                 assert out.x[i].tobytes() == got.x.tobytes() and out.y[i].tobytes() == got.y.tobytes()
             ref_escapes += escapes
         assert stats["escapes"] == alone_stats["escapes"] == ref_escapes
-        if width == steps:  # each row walks alone: repeats add probes, not re-refines
-            once: dict = {}
-            escape(inst, _stack(distinct), gamma_steps=steps, stats=once)
-            assert once["rerefines"] == stats["rerefines"] and once["probes"] < stats["probes"]
+        # the repeats add neither probes nor re-refines
+        once: dict = {}
+        escape(inst, _stack(distinct), gamma_steps=steps, stats=once)
+        assert once["rerefines"] == stats["rerefines"] and once["probes"] == stats["probes"]
 
 
 def test_escape_counts_its_probe_and_re_refine_rows(monkeypatch):
@@ -645,15 +646,19 @@ def test_escape_counts_its_probe_and_re_refine_rows(monkeypatch):
     escape(inst, starts, stats=stats)  # the counts add up over calls
     assert stats == {key: 2 * value for key, value in first.items()}
 
-    # one step a round probes as the point-by-point walk does
+    # one step a round probes as the point-by-point walk does on the distinct
+    # rows (here 2 of the 5, and no two rows accept the same point in a round)
     monkeypatch.setattr("vsep.cbp._PROBE_CELLS", 1)
     walked = {}
     escape(inst, starts, stats=walked)
     monkeypatch.setattr("vsep.cbp.refine", refine)
+    distinct = {x.tobytes() + y.tobytes(): Point(x, y) for x, y in zip(starts.x, starts.y)}
+    assert len(distinct) == 2
     events = []
-    for q in zip(starts.x, starts.y):
-        _escape_loop(inst, Point(*q), 10, events)
-    assert walked["probes"] == len(events) and walked["escapes"] == first["escapes"]
+    for q in distinct.values():
+        _escape_loop(inst, q, 10, events)
+    escapes = sum(_escape_loop(inst, Point(*q), 10)[1] for q in zip(starts.x, starts.y))
+    assert walked["probes"] == len(events) and walked["escapes"] == first["escapes"] == escapes
 
 
 def test_bdot_stack_rows_equal_vector_products():
@@ -1045,32 +1050,41 @@ _ESCAPE_POINTS = {
 }
 
 
-def _scripted_escape(monkeypatch, starts, script, cells=None):
-    """Run escape with gamma_steps = 3 under a scripted refine that maps (input
-    point, gamma) to an output point; return the final point names and the
-    rows refined at gamma0.  ``cells`` replaces the probe budget: 4 probes one
-    row two steps ahead, 1 one step."""
-    inst = instance_from_graph(Graph.from_edges(2, []), 0, 2, 0, 2)
-    points = {name: (np.array(x, float), np.array(y, float)) for name, (x, y) in _ESCAPE_POINTS.items()}
-    name_of = {x.tobytes() + y.tobytes(): name for name, (x, y) in points.items()}
-    at_gamma0 = []
+_SCRIPT_INSTANCE = instance_from_graph(Graph.from_edges(2, []), 0, 2, 0, 2)
+_SCRIPT_POINTS = {name: (np.array(x, float), np.array(y, float)) for name, (x, y) in _ESCAPE_POINTS.items()}
+_SCRIPT_NAMES = {x.tobytes() + y.tobytes(): name for name, (x, y) in _SCRIPT_POINTS.items()}
+
+
+def _scripted(monkeypatch, script, cells=None):
+    """Patch refine with one that maps (input point, 3 * gamma) to an output
+    point by ``script``, for gamma_steps = 3, and return its log: the name of
+    each row refined at gamma0 and, as ("probe", name), of each probe row.
+    ``cells`` replaces the probe budget: 4 probes one row two steps ahead, 1
+    one step."""
+    log = []
 
     def scripted_refine(inst, p, gamma):
-        gammas = np.broadcast_to(gamma, (len(p.x),))
+        xs, ys = np.atleast_2d(p.x), np.atleast_2d(p.y)
         out = []
-        for x, y, g in zip(p.x, p.y, gammas.tolist()):
-            name = name_of[x.tobytes() + y.tobytes()]
-            if g == inst.gamma0:
-                at_gamma0.append(name)
-            out.append(points[script[name, round(g * 3)]])
-        return Point(np.array([x for x, _ in out]), np.array([y for _, y in out]))
+        for x, y, g in zip(xs, ys, np.broadcast_to(gamma, (len(xs),)).tolist()):
+            name = _SCRIPT_NAMES[x.tobytes() + y.tobytes()]
+            log.append(name if g == inst.gamma0 else ("probe", name))
+            out.append(_SCRIPT_POINTS[script[name, round(g * 3)]])
+        return cbp._shaped_like(p, np.array([x for x, _ in out]), np.array([y for _, y in out]))
 
     monkeypatch.setattr("vsep.cbp.refine", scripted_refine)
     if cells is not None:
         monkeypatch.setattr("vsep.cbp._PROBE_CELLS", cells)
-    out = escape(inst, _stack([Point(*points[name]) for name in starts]), gamma_steps=3)
-    finals = [name_of[x.tobytes() + y.tobytes()] for x, y in zip(out.x, out.y)]
-    return finals, at_gamma0
+    return log
+
+
+def _scripted_escape(monkeypatch, starts, script, cells=None):
+    """Run escape with gamma_steps = 3 under ``_scripted``; return the final
+    point names and the rows refined at gamma0."""
+    log = _scripted(monkeypatch, script, cells)
+    out = escape(_SCRIPT_INSTANCE, _stack([Point(*_SCRIPT_POINTS[name]) for name in starts]), gamma_steps=3)
+    finals = [_SCRIPT_NAMES[x.tobytes() + y.tobytes()] for x, y in zip(out.x, out.y)]
+    return finals, [entry for entry in log if isinstance(entry, str)]
 
 
 # script keys: (input point, 3 * gamma); gamma0 = 1 is key 3
@@ -1093,28 +1107,84 @@ _SCRIPTED_RUNS = [
     # A's home probe loses in the round in which D wins; its second home
     # probe shares the first one's re-refine
     (["A"], _HOME_THEN_ACCEPT, None, ["C"], ["A", "D", "B", "C"]),
-    # rows keep their own steps and objectives, and share re-refines
-    (["A", "C"], _HOME_THEN_ACCEPT, None, ["C", "C"], ["A", "D", "C", "B", "C"]),
+    # rows keep their own steps and objectives, and share re-refines; A's
+    # walk ends at C, which row C's probes re-refined and which cannot beat
+    # 2, so it is not re-refined again
+    (["A", "C"], _HOME_THEN_ACCEPT, None, ["C", "C"], ["A", "D", "C", "B"]),
     (["A", "A"], _HOME_THEN_ACCEPT, None, ["C", "C"], ["A", "D", "B", "C"]),
-    # two steps a round: a round shares re-refines only among its own
-    # probes, so C's home probe is re-refined again in the last round
-    (["A"], _LOSS_THEN_HOME, 4, ["C"], ["B", "A", "C", "C"]),
-    (["A"], _HOME_THEN_ACCEPT, 4, ["C"], ["A", "D", "B", "C", "C"]),
-    # one step a round, the point-by-point walk: every probe of a lone row is
-    # re-refined, and rows share re-refines within a round
-    (["A"], _LOSS_THEN_HOME, 1, ["C"], ["B", "A", "C", "C", "C"]),
-    (["A"], _HOME_THEN_ACCEPT, 1, ["C"], ["A", "D", "B", "C", "C", "C"]),
-    (["A", "C"], _HOME_THEN_ACCEPT, 1, ["C", "C"], ["A", "C", "D", "C", "B", "C", "C", "C", "C"]),
-    (["A", "A"], _HOME_THEN_ACCEPT, 1, ["C", "C"], ["A", "D", "B", "C", "C", "C"]),
+    # two steps a round: C's home probe in the last round is known to lose
+    (["A"], _LOSS_THEN_HOME, 4, ["C"], ["B", "A", "C"]),
+    (["A"], _HOME_THEN_ACCEPT, 4, ["C"], ["A", "D", "B", "C"]),
+    # one step a round, the point-by-point walk: a probe point is
+    # re-refined once in the call, not once per round
+    (["A"], _LOSS_THEN_HOME, 1, ["C"], ["B", "A", "C"]),
+    (["A"], _HOME_THEN_ACCEPT, 1, ["C"], ["A", "D", "B", "C"]),
+    (["A", "C"], _HOME_THEN_ACCEPT, 1, ["C", "C"], ["A", "C", "D", "B"]),
+    (["A", "A"], _HOME_THEN_ACCEPT, 1, ["C", "C"], ["A", "D", "B", "C"]),
 ]
 
 
 def test_escape_re_refines_each_distinct_probe_point_once(monkeypatch):
-    # every probe goes through its round's dedupe: a round re-refines each
-    # distinct probe point once, and skips none
+    # a call re-refines each distinct probe point once, unless a later probe
+    # of it could win for its row
     for starts, script, cells, finals, at_gamma0 in _SCRIPTED_RUNS:
         with monkeypatch.context() as patch:
             assert _scripted_escape(patch, starts, script, cells) == (finals, at_gamma0), (starts, cells)
+
+
+_TWO_ACCEPT_C = {  # A wins C through probe D, B through its home probe B
+    ("A", 2): "D", ("A", 1): "A", ("A", 0): "A", ("A", 3): "A", ("D", 3): "C",
+    ("B", 2): "B", ("B", 1): "B", ("B", 0): "B", ("B", 3): "C",
+    ("C", 2): "C", ("C", 1): "C", ("C", 0): "C", ("C", 3): "C",
+}
+_KNOWN_LOSER = {  # B is probed twice and loses; D wins and then probes itself
+    ("A", 2): "B", ("A", 1): "B", ("A", 0): "D", ("B", 3): "A",
+    ("D", 2): "D", ("D", 1): "D", ("D", 0): "D", ("D", 3): "D",
+}
+_KNOWN_WINS_LOWER = {  # A re-refines to D: no gain for C (2), a win for B (1)
+    ("C", 2): "A", ("C", 1): "C", ("C", 0): "C", ("C", 3): "C", ("A", 3): "D",
+    ("B", 2): "B", ("B", 1): "A", ("B", 3): "B",
+    ("D", 2): "D", ("D", 1): "D", ("D", 0): "D", ("D", 3): "D",
+}
+
+# (starts, script, probe budget, log of refined rows: names at gamma0, ("probe", name) for probes)
+_MERGE_AND_MEMO_RUNS = [
+    # duplicate starts walk as one row: 9 probe rows, not 18
+    (["A", "A"], _HOME_THEN_ACCEPT, None, [
+        *[("probe", "A")] * 3, "A", "D", *[("probe", "B")] * 3, "B", *[("probe", "C")] * 3, "C",
+    ]),
+    # A and B accept C in the same round, through different probe points,
+    # and walk on as one row
+    (["A", "B"], _TWO_ACCEPT_C, None, [
+        *[("probe", "A")] * 3, *[("probe", "B")] * 3, "D", "A", "B", *[("probe", "C")] * 3, "C",
+    ]),
+    # the second probe of B and every home probe of D are known to lose
+    (["A"], _KNOWN_LOSER, 1, [
+        ("probe", "A"), "B", ("probe", "A"), ("probe", "A"), "D", ("probe", "D"), ("probe", "D"), ("probe", "D"),
+    ]),
+    # A, re-refined for C in round 1, is re-refined again for B in round 2,
+    # where it wins; C's last home probe is known to lose
+    (["C", "B"], _KNOWN_WINS_LOWER, 1, [
+        ("probe", "C"), ("probe", "B"), "A", "B", ("probe", "C"), ("probe", "B"), "C", "A",
+        ("probe", "C"), ("probe", "D"), "D", ("probe", "D"), ("probe", "D"),
+    ]),
+]
+
+
+def test_escape_merged_rows_and_known_points_match_point_loop(monkeypatch):
+    for starts, script, cells, expected_log in _MERGE_AND_MEMO_RUNS:
+        with monkeypatch.context() as patch:
+            log = _scripted(patch, script, cells)
+            stats: dict = {}
+            p = _stack([Point(*_SCRIPT_POINTS[name]) for name in starts])
+            out = escape(_SCRIPT_INSTANCE, p, gamma_steps=3, stats=stats)
+            walked = list(log)
+            ref = [_escape_loop(_SCRIPT_INSTANCE, Point(x, y), 3) for x, y in zip(p.x, p.y)]
+        assert out.x.tobytes() == np.stack([q.x for q, _ in ref]).tobytes(), starts
+        assert out.y.tobytes() == np.stack([q.y for q, _ in ref]).tobytes(), starts
+        assert stats["escapes"] == sum(e for _, e in ref), starts
+        assert walked == expected_log, starts
+        assert stats["probes"] == sum(isinstance(entry, tuple) for entry in walked)
 
 
 def test_escape_stats_and_determinism():
@@ -1124,7 +1194,7 @@ def test_escape_stats_and_determinism():
     out1 = escape(inst, p, stats=stats)
     out2 = escape(inst, p)
     assert np.array_equal(out1.x, out2.x) and np.array_equal(out1.y, out2.y)
-    assert stats.get("escapes", 0) >= 0
+    assert stats["escapes"] == _escape_loop(inst, p)[1]
 
 
 # --------------------------------------------------------------- infeasible K4

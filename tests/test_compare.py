@@ -85,7 +85,7 @@ def test_pairs_exit_1_when_partitions_differ(tmp_path, monkeypatch, capsys):
         def run(mode, tree, listing):
             if mode == "trace":
                 return json.dumps({"cbp.refine_calls": 7})
-            return json.dumps({"solve_s": 1.0, "digest": digests[tree.name]})
+            return json.dumps({"solve_s": 1.0, "digest": digests[tree.name], "peak_rss_mb": 100.0})
         return run
 
     monkeypatch.setattr(compare, "_run", stub({"base": "same", "head": "same"}))
@@ -94,3 +94,36 @@ def test_pairs_exit_1_when_partitions_differ(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(compare, "_run", stub({"base": "one", "head": "other"}))
     assert compare._pairs(trees, listing, "nd-batch", 2) == 1
     assert "partitions: DIFFER between trees or runs" in capsys.readouterr().out
+
+
+def test_pairs_print_the_median_peak_rss(tmp_path, monkeypatch, capsys):
+    compare = _compare()
+    listing = tmp_path / "cases.json"
+    listing.write_text(json.dumps([["g", "g.graph", 1]]))
+    trees = {"base": tmp_path / "base", "head": tmp_path / "head"}
+    peaks = {"base": iter([100.0, 300.0, 120.0]), "head": iter([90.0, 110.0, 400.0])}
+
+    def run(mode, tree, listing):
+        if mode == "trace":
+            return json.dumps({"cbp.refine_calls": 7})
+        return json.dumps({"solve_s": 1.0, "digest": "same", "peak_rss_mb": next(peaks[tree.name])})
+
+    monkeypatch.setattr(compare, "_run", run)
+    assert compare._pairs(trees, listing, "nd-batch", 3) == 0
+    assert "peak RSS, median ru_maxrss of the timing processes: base 120.0 MB  head 110.0 MB  head/base 0.917" in (
+        capsys.readouterr().out.splitlines()
+    )
+
+
+def test_time_worker_reports_its_peak_rss(tmp_path):
+    path = tmp_path / "p5.graph"
+    path.write_text(P5_METIS)
+    listing = tmp_path / "cases.json"
+    listing.write_text(json.dumps([["p5", str(path), SolveParams.lb]]))
+    proc = subprocess.run(
+        [sys.executable, "-B", str(SCRIPT), "--worker", "time", str(ROOT / "src"), str(listing)],
+        capture_output=True, text=True, check=True,
+    )
+    out = json.loads(proc.stdout)
+    assert set(out) == {"solve_s", "digest", "peak_rss_mb"}
+    assert 10 < out["peak_rss_mb"] < 4096  # numpy and scipy alone take tens of MB
