@@ -395,8 +395,8 @@ def round_to_binary(inst: CbpInstance, p: Point) -> Point:
     if not feasible(inst, p):
         raise ValueError("round_to_binary requires a feasible point")
     x, y = p.x.copy(), p.y.copy()
-    _snap(x)
-    _snap(y)
+    _snap(x, inst.s)
+    _snap(y, inst.s)
 
     gx = inst.c - inst.gamma0 * inst.bdot(y)
     _defractionalize(x, gx, inst.s, inst.la, inst.ua)
@@ -406,9 +406,11 @@ def round_to_binary(inst: CbpInstance, p: Point) -> Point:
     return Point(x, y)
 
 
-def _snap(v: np.ndarray) -> None:
-    v[np.abs(v) <= EPS] = 0.0
-    v[np.abs(v - 1.0) <= EPS] = 1.0
+def _snap(v: np.ndarray, s: np.ndarray) -> None:
+    """Snap to 0 or 1 each value within EPS of it in size-weighted terms, so
+    that a true fraction of a huge vertex keeps its share of the sum."""
+    v[v * s <= EPS] = 0.0
+    v[(1.0 - v) * s <= EPS] = 1.0
 
 
 def _defractionalize(v: np.ndarray, grad: np.ndarray, s: np.ndarray, l: int, u: int) -> None:

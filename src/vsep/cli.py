@@ -13,6 +13,7 @@ from pathlib import Path
 from .cbp import (
     DegenerateRepairError,
     InfeasibleBoundsError,
+    instance_from_graph,
     partition_violations,
 )
 from .graphs import Graph, ParseError, load_matrix_market, load_metis
@@ -115,8 +116,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     g = _load_graph(args.input, args.format)
     params = SolveParams(ub_fraction=args.ub_frac, la=args.lb, lb=args.lb)
-    bounds = params.bounds(int(g.vertex_size.sum()))
-    best = brute_force_vsp(g, *bounds)
+    la, ua, lb, ub = params.bounds(int(g.vertex_size.sum()))
+    # an instance cannot hold la > ua; no partition meets such bounds
+    best = brute_force_vsp(instance_from_graph(g, la, ua, lb, ub)) if la <= ua else None
     report: dict = {"input_path": str(args.input), "n": g.n, "feasible": best is not None}
     if best is not None:
         report.update(

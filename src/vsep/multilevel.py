@@ -77,8 +77,10 @@ class SolveParams:
 
     def bounds(self, total: int) -> tuple[int, int, int, int]:
         """Side-size bounds (la, ua, lb, ub) for a graph whose vertex sizes
-        sum to ``total`` (its vertex count when every size is 1)."""
-        ua = math.floor(self.ub_fraction * total)
+        sum to ``total`` (its vertex count when every size is 1).  ua is the
+        floor of the decimal product: 0.29 * 100 gives 29, not the 28 that
+        the float 28.999999999999996 floors to."""
+        ua = math.floor(round(self.ub_fraction * total, 9))
         return self.la, ua, self.lb, ua
 
 
@@ -169,18 +171,6 @@ def contract(level: Level, mate: np.ndarray) -> Level:
         nc, P.T @ fine.B @ P, P.T @ fine.c, P.T @ fine.s, fine.la, fine.ua, fine.lb, fine.ub
     )
     return Level(inst, cmap)
-
-
-def _interaction_graph(inst: CbpInstance) -> Graph:
-    """Graph whose weighted adjacency is the off-diagonal part of B."""
-    coo = inst.B.tocoo()
-    mask = (coo.row < coo.col)
-    return Graph.from_edges(
-        inst.n,
-        np.column_stack((coo.row[mask], coo.col[mask], coo.data[mask])).astype(np.int64),
-        vertex_cost=inst.c.astype(np.int64),
-        vertex_size=inst.s.astype(np.int64),
-    )
 
 
 def prolong(coarse: Level, p: Point) -> Point:
@@ -286,9 +276,10 @@ def solve_coarsest(
     the result it would get alone; then each is rounded, and the best
     objective at gamma0 wins (first start on ties; a start whose rounding
     fails is skipped).  ``stats["escapes"]`` sums the escapes of all
-    starts.  For n <= 12 an exhaustive search backstops the multistarts and
-    its solution is used when strictly better.  Raises InfeasibleError when
-    no binary point can satisfy the bounds.
+    starts.  For n <= 12 the exhaustive oracle ``brute_force_vsp(inst)``
+    backstops the multistarts and its solution is used when strictly
+    better.  Raises InfeasibleError when no binary point can satisfy the
+    bounds.
     """
     if not _bounds_reachable(inst):
         raise InfeasibleError("no binary point satisfies the sum bounds")
@@ -315,32 +306,38 @@ def solve_coarsest(
     # exhaustive backstop; also the tie-breaker of last resort when every
     # start failed to round and the instance is still small enough
     if inst.n <= 12 or (best is None and inst.n <= VSP_CAP):
-        exact = brute_force_vsp(
-            _interaction_graph(inst), inst.la, inst.ua, inst.lb, inst.ub
-        )
-        if exact is not None:
-            q = _partition_point(inst.n, exact)
-            f = objective(inst, q, inst.gamma0)
-            if best is None or f > best_f + EPS:
-                best, best_f = q, f
-        elif best is None:
-            raise InfeasibleError("exhaustive search found no valid partition")
+        q = _exact_point(inst)  # raises only when no start rounded: each rounded start is a partition
+        if best is None or objective(inst, q, inst.gamma0) > best_f + EPS:
+            best = q
     if best is None:
         raise InfeasibleError("no start reached a binary orthogonal point")
     return best
 
 
-def _partition_point(n: int, part: Partition) -> Point:
-    x = np.zeros(n)
-    y = np.zeros(n)
+def _exact_point(inst: CbpInstance) -> Point:
+    """The exhaustive oracle's optimal partition as a binary point.  Raises
+    InfeasibleError when no partition meets the bounds."""
+    part = brute_force_vsp(inst)
+    if part is None:
+        raise InfeasibleError("exhaustive search found no valid partition")
+    x = np.zeros(inst.n)
+    y = np.zeros(inst.n)
     x[list(part.a)] = 1.0
     y[list(part.b)] = 1.0
     return Point(x, y)
 
 
-def _separator_weight(inst: CbpInstance, p: Point) -> int:
-    mask = (p.x < 0.5) & (p.y < 0.5)
-    return int(inst.c[mask].sum())
+def _level_trace(
+    li: int, inst: CbpInstance, f_before: float | None, p: Point, escapes: int
+) -> LevelTrace:
+    return LevelTrace(
+        level=li,
+        n=inst.n,
+        objective_before=f_before,
+        objective_after=objective(inst, p, inst.gamma0),
+        escapes=escapes,
+        separator_weight=int(inst.c[(p.x < 0.5) & (p.y < 0.5)].sum()),
+    )
 
 
 def solve(g: Graph, params: SolveParams | None = None) -> tuple[Partition, list[LevelTrace]]:
@@ -354,8 +351,9 @@ def solve(g: Graph, params: SolveParams | None = None) -> tuple[Partition, list[
 
     Coarsening can make a feasible graph look infeasible.  When the walk
     raises InfeasibleError or DegenerateRepairError on a graph of n <=
-    VSP_CAP, the exhaustive oracle answers on the graph itself, with a
-    one-level trace; InfeasibleError then means that no partition exists.
+    VSP_CAP, the exhaustive oracle ``brute_force_vsp`` answers on the
+    finest level's program, with a one-level trace; InfeasibleError then
+    means that no partition exists.
     """
     params = params or SolveParams()
     problems = validate(g)
@@ -377,24 +375,10 @@ def solve(g: Graph, params: SolveParams | None = None) -> tuple[Partition, list[
                 p = refine(inst, p, inst.gamma0)
                 p = escape(inst, p, gamma_steps=params.gamma_steps, stats=stats)
                 p = round_to_binary(inst, p)
-            trace.append(
-                LevelTrace(
-                    level=li,
-                    n=inst.n,
-                    objective_before=f_before,
-                    objective_after=objective(inst, p, inst.gamma0),
-                    escapes=stats.get("escapes", 0),
-                    separator_weight=_separator_weight(inst, p),
-                )
-            )
+            trace.append(_level_trace(li, inst, f_before, p, stats.get("escapes", 0)))
     except (InfeasibleError, DegenerateRepairError):
         if g.n > VSP_CAP:
             raise
-        inst = levels[0].inst
-        part = brute_force_vsp(g, inst.la, inst.ua, inst.lb, inst.ub)
-        if part is None:
-            raise InfeasibleError("exhaustive search found no valid partition")
-        w = part.separator_weight
-        f = float(inst.c.sum()) - w  # the objective of a binary orthogonal point
-        return part, [LevelTrace(0, g.n, objective_before=None, objective_after=f, escapes=0, separator_weight=w)]
+        p = _exact_point(levels[0].inst)
+        trace = [_level_trace(0, levels[0].inst, None, p, 0)]
     return extract_partition(levels[0].inst, p), trace

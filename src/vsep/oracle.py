@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cbp import InfeasibleBoundsError, Partition
-from .graphs import Graph
+from .cbp import CbpInstance, InfeasibleBoundsError, Partition
 
 
 class TooLargeError(ValueError):
@@ -20,23 +19,26 @@ VSP_CAP = 16
 _LOW_DIGITS = 11  # one table enumerates the 3^11 assignments of the last 11 vertices
 
 
-def brute_force_vsp(graph: Graph, la: int, ua: int, lb: int, ub: int) -> Partition | None:
-    """Exact minimum-weight separator by checking all 3^n assignments.
+def brute_force_vsp(inst: CbpInstance) -> Partition | None:
+    """Exact minimum-weight separator of a level's program by checking all
+    3^n assignments.
 
-    Every vertex goes to side a, side b, or the separator; assignments with
-    an a-b edge or a size bound violation are discarded.  Returns the
-    optimal partition, or None when no assignment is valid.  Ties resolve
-    to the lexicographically smallest assignment under the digit order
-    a < b < separator, vertex 0 most significant.
+    Every vertex goes to side a, side b, or the separator; an edge is an
+    off-diagonal nonzero of B, costs are c and sizes s.  Assignments with
+    an a-b edge or a violation of the instance's size bounds are
+    discarded.  Returns the optimal partition, or None when no assignment
+    is valid.  Ties resolve to the lexicographically smallest assignment
+    under the digit order a < b < separator, vertex 0 most significant.
     """
-    n = graph.n
+    n = inst.n
     if n > VSP_CAP:
         raise TooLargeError(f"n={n} exceeds the exhaustive cap {VSP_CAP}")
-    cost = graph.vertex_cost.astype(np.int64)
-    size = graph.vertex_size.astype(np.int64)
-    rows = np.repeat(np.arange(n), np.diff(graph.indptr))
-    upper = rows < graph.indices
-    edges = list(zip(rows[upper].tolist(), graph.indices[upper].tolist()))  # u < v
+    la, ua, lb, ub = inst.la, inst.ua, inst.lb, inst.ub
+    cost = inst.c.astype(np.int64)
+    size = inst.s.astype(np.int64)
+    rows = np.repeat(np.arange(n), np.diff(inst.B.indptr))
+    upper = rows < inst.B.indices
+    edges = list(zip(rows[upper].tolist(), inst.B.indices[upper].tolist()))  # u < v
 
     # The last ``low`` vertices are one table in lexicographic order, with
     # each row's side sizes, separator weight and inner-edge check computed

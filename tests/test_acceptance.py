@@ -14,6 +14,7 @@ from conftest import empty_graph, gnp, path_graph, random_fractional_point
 from vsep.cbp import (
     escape,
     feasible,
+    instance_from_graph,
     objective,
     partition_violations,
     refine,
@@ -44,7 +45,7 @@ def _oracle_differential(rng, n_range, seed0, trials):
         p = float(rng.choice([0.2, 0.4, 0.6]))
         g = gnp(n, p, seed=seed0 + trial)
         bounds = SolveParams().bounds(n)
-        ref = brute_force_vsp(g, *bounds)
+        ref = brute_force_vsp(instance_from_graph(g, *bounds))
         try:
             part, _ = solve(g)
         except InfeasibleError:

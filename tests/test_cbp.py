@@ -766,6 +766,18 @@ def test_round_raises_when_neither_direction_finishes():
         round_to_binary(inst, pt([0, 0.5], [0, 0]))
 
 
+def test_round_keeps_a_real_fraction_of_a_huge_vertex():
+    # x_1 = 1e-12 of size 1e12 carries one unit of s.x = la; snapping it to 0
+    # would leave s.x = 1e12 < la
+    s = np.array([10**12, 10**12, 1], dtype=float)
+    inst = CbpInstance(3, sp.eye_array(3, format="csr"), np.ones(3), s, 10**12 + 1, 2 * 10**12, 0, 1)
+    x = solve_block_lp([-1, -2, -3], s, inst.la, inst.ua)
+    assert x[0] == 1 and 0 < x[1] < 1e-9 and x[2] == 0
+    q = round_to_binary(inst, pt(x, [0, 0, 0]))
+    assert set(np.unique(q.x)) <= {0.0, 1.0}
+    assert feasible(inst, q)
+
+
 def test_round_rejects_an_infeasible_point():
     with pytest.raises(ValueError, match="requires a feasible point"):
         round_to_binary(p3_instance(), pt([1, 1, 0], [0, 0, 1]))  # s.x = 2 > ua
@@ -882,7 +894,7 @@ def test_extract_p3():
     assert part.s == (1,)
     assert part.separator_weight == 1
     # {1} really does separate P3 under these bounds
-    ref = brute_force_vsp(path_graph(3), 1, 1, 1, 1)
+    ref = brute_force_vsp(instance_from_graph(path_graph(3), 1, 1, 1, 1))
     assert ref.separator_weight == 1 and ref.s == (1,)
 
 
@@ -1033,7 +1045,7 @@ def test_escape_never_hurts_and_sometimes_helps():
         assert f_out >= f_base - EPS
         improved += f_out > f_base + EPS
         # context: the bilinear maximum equals total cost minus the optimal weight
-        ref = brute_force_vsp(g, inst.la, inst.ua, inst.lb, inst.ub)
+        ref = brute_force_vsp(inst)
         if ref is not None:
             f_star = float(inst.c.sum()) - ref.separator_weight
             assert f_out <= f_star + EPS
@@ -1201,4 +1213,4 @@ def test_escape_stats_and_determinism():
 
 
 def test_k4_has_no_partition_under_tight_bounds():
-    assert brute_force_vsp(complete_graph(4), 1, 2, 1, 2) is None
+    assert brute_force_vsp(instance_from_graph(complete_graph(4), 1, 2, 1, 2)) is None

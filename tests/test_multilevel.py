@@ -469,7 +469,7 @@ def test_solve_oracle_answers_small_graphs_coarsening_makes_infeasible():
         params = SolveParams(la=lb, lb=lb, coarsest_size=int(rng.integers(2, 5)))
         g = gnp(n, float(rng.choice([0.15, 0.3, 0.5])), seed=1800 + trial)
         bounds = params.bounds(n)
-        ref = brute_force_vsp(g, *bounds)
+        ref = brute_force_vsp(instance_from_graph(g, *bounds))
         if ref is None:
             with pytest.raises(InfeasibleError):
                 solve(g, params)
@@ -484,6 +484,25 @@ def test_solve_oracle_answers_small_graphs_coarsening_makes_infeasible():
             assert trace[0].objective_after == g.vertex_cost.sum() - ref.separator_weight
             answered += 1
     assert answered >= 10 and infeasible
+
+
+def test_solve_never_builds_a_graph(monkeypatch):
+    # each level is its program alone: neither the exhaustive backstop at the
+    # coarsest level nor the n <= 16 fallback turns one back into a Graph
+    cases = [
+        (grid_graph(12, 12), SolveParams(coarsest_size=8), 12),
+        (path_graph(5), SolveParams(coarsest_size=2), 1),
+        (gnp(14, 0.3, seed=3), SolveParams(la=4, lb=4, coarsest_size=3), 3),
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve built a Graph")
+
+    monkeypatch.setattr(Graph, "from_edges", refuse)
+    for g, params, weight in cases:
+        part, _ = solve(g, params)
+        assert part.separator_weight == weight
+        assert partition_violations(g, part, *params.bounds(g.n)) == []
 
 
 def test_solve_deterministic():
@@ -577,6 +596,10 @@ def test_params_bounds():
     g = Graph.from_edges(5, [(i, i + 1) for i in range(4)], vertex_size=[3] * 5)
     assert build_hierarchy(g, SolveParams()).levels[0].inst.ua == SolveParams().bounds(15)[1] == 7
     assert SolveParams(ub_fraction=0.6, la=2, lb=3).bounds(7) == (2, 4, 3, 4)
+    # ua floors the decimal product, not the float one just below it
+    for f, ua in ((0.29, 29), (0.57, 57), (0.58, 58)):
+        assert SolveParams(ub_fraction=f).bounds(100) == (1, ua, 1, ua)
+    assert all(SolveParams().bounds(t)[1] == 503 * t // 1000 for t in range(10**5 + 1))
 
 
 def test_params_validation():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import complete_graph, empty_graph, gnp, path_graph
-from vsep.cbp import InfeasibleBoundsError, partition_violations, solve_block_lp
+from vsep.cbp import InfeasibleBoundsError, instance_from_graph, partition_violations, solve_block_lp
 from vsep.graphs import Graph
 from vsep.multilevel import SolveParams
 from vsep.oracle import TooLargeError, brute_force_lp, brute_force_vsp
@@ -16,7 +16,7 @@ EPS = 1e-9
 
 
 def test_vsp_p5():
-    best = brute_force_vsp(path_graph(5), 1, 2, 1, 2)
+    best = brute_force_vsp(instance_from_graph(path_graph(5), 1, 2, 1, 2))
     assert best.separator_weight == 1
     assert best.s == (2,)
     assert best.a == (0, 1)  # lexicographically smallest optimum
@@ -24,24 +24,24 @@ def test_vsp_p5():
 
 
 def test_vsp_k4_infeasible():
-    assert brute_force_vsp(complete_graph(4), 1, 2, 1, 2) is None
+    assert brute_force_vsp(instance_from_graph(complete_graph(4), 1, 2, 1, 2)) is None
 
 
 def test_vsp_two_isolated():
-    best = brute_force_vsp(empty_graph(2), 1, 1, 1, 1)
+    best = brute_force_vsp(instance_from_graph(empty_graph(2), 1, 1, 1, 1))
     assert best.separator_weight == 0
     assert best.s == ()
 
 
 def test_vsp_too_large():
     with pytest.raises(TooLargeError):
-        brute_force_vsp(empty_graph(17), 1, 8, 1, 8)
+        brute_force_vsp(instance_from_graph(empty_graph(17), 1, 8, 1, 8))
 
 
 def test_vsp_respects_costs():
     # the only separator is vertex 1, so its cost is the optimum
     g = Graph.from_edges(3, [(0, 1), (1, 2)], vertex_cost=[1, 7, 1])
-    assert brute_force_vsp(g, 1, 1, 1, 1).separator_weight == 7
+    assert brute_force_vsp(instance_from_graph(g, 1, 1, 1, 1)).separator_weight == 7
 
 
 def test_vsp_witness_always_valid():
@@ -52,7 +52,7 @@ def test_vsp_witness_always_valid():
         la, ua, lb, ub = SolveParams().bounds(n)
         if ua < 1:
             continue
-        best = brute_force_vsp(g, la, ua, lb, ub)
+        best = brute_force_vsp(instance_from_graph(g, la, ua, lb, ub))
         if best is not None:
             assert partition_violations(g, best, la, ua, lb, ub) == []
 
@@ -90,7 +90,12 @@ def test_vsp_matches_assignment_loop(monkeypatch, low):
         total = int(size.sum())
         la, lb = (int(rng.integers(0, total // 3 + 2)) for _ in range(2))
         ua, ub = (int(rng.integers(l, total // 2 + 2)) for l in (la, lb))
-        best = brute_force_vsp(g, la, ua, lb, ub)
+        if n == 0 and ub + ua > 0:
+            # a program cannot hold bounds above its total size, here 0
+            with pytest.raises(ValueError, match="bad bounds"):
+                instance_from_graph(g, la, ua, lb, ub)
+            continue
+        best = brute_force_vsp(instance_from_graph(g, la, ua, lb, ub))
         ref = _vsp_loop(g, la, ua, lb, ub)
         if ref is None:
             assert best is None
