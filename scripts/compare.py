@@ -25,7 +25,10 @@ noise``), whether the partitions agree (exit status 1 when they differ),
 each tree's median peak RSS (``ru_maxrss``) over its timing processes,
 and the call counters of one pass per tree under
 ``perfbench/tracing.py``: timing two trees that do different work
-compares more than their speed.
+compares more than their speed.  It then times set-up the same way:
+alternating fresh interpreters of each tree import vsep and load the
+workload's files, as perfbench's ``setup_s`` does, and the script prints
+their pairs, quartiles and verdict by the same rule.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -47,6 +51,18 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 RUN_DEPENDENT = ("wall_time_sec", "input_path")
 REPEATS = 3  # timed solves per graph in one process; the fastest counts
+
+# Runs in a fresh interpreter, as perfbench/run.py's SETUP_SCRIPT does: the
+# time to import vsep and load the listed files, which every run pays.
+SETUP_SCRIPT = """
+import json, sys, time
+start = time.perf_counter()
+sys.path.insert(0, sys.argv[1])
+import vsep
+for _, path, _ in json.load(open(sys.argv[2])):
+    (vsep.load_metis if path.endswith(".graph") else vsep.load_matrix_market)(path)
+print(time.perf_counter() - start)
+"""
 
 
 def _import(name: str, directory: Path):
@@ -154,6 +170,32 @@ def _run(mode: str, tree: Path, listing: Path) -> str:
     return proc.stdout
 
 
+def _setup(tree: Path, listing: Path) -> float:
+    """One fresh interpreter's set-up time on ``tree``.  Bytecode, its own
+    and its libraries', is cached beside ``listing``, not in the tree."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(listing.parent / "pycache")
+    proc = subprocess.run(
+        [sys.executable, "-c", SETUP_SCRIPT, str(tree / "src"), str(listing)], capture_output=True, text=True, env=env
+    )
+    if proc.returncode:
+        raise SystemExit(f"error: set-up on {tree} exited {proc.returncode}\n{proc.stderr}")
+    return float(proc.stdout)
+
+
+def _alternate(trees: dict[str, Path], pairs: int, measure, seconds) -> dict[str, list]:
+    """``measure(tree)`` for base and head in ``pairs`` pairs, the order
+    flipped every pair; prints each pair's ``seconds(result)``."""
+    runs: dict[str, list] = {"base": [], "head": []}
+    for pair in range(pairs):
+        order = ("base", "head") if pair % 2 == 0 else ("head", "base")
+        for name in order:
+            runs[name].append(measure(trees[name]))
+        base, head = (seconds(runs[name][-1]) for name in ("base", "head"))
+        print(f"pair {pair + 1:2d} ({order[0]} first)  base {base:.4f} s  head {head:.4f} s  head/base {head / base:.3f}", flush=True)
+    return runs
+
+
 def pair_summary(base: list[float], head: list[float]) -> list[str]:
     """The wins, both sides' medians and quartiles, the median shift and a
     verdict: head is faster (slower) when at least nine tenths of the pairs
@@ -201,22 +243,12 @@ def _digests(trees: dict[str, Path], listing: Path) -> int:
 def _pairs(trees: dict[str, Path], listing: Path, workload: str, pairs: int) -> int:
     count = len(json.loads(listing.read_text()))
     print(f"workload {workload}: {count} graphs, sum of per-graph best-of-{REPEATS} solve times")
-    times: dict[str, list[float]] = {"base": [], "head": []}
-    peaks: dict[str, list[float]] = {"base": [], "head": []}
-    digests: dict[str, set[str]] = {"base": set(), "head": set()}
-    for pair in range(pairs):
-        order = ("base", "head") if pair % 2 == 0 else ("head", "base")
-        for name in order:
-            out = json.loads(_run("time", trees[name], listing))
-            times[name].append(out["solve_s"])
-            peaks[name].append(out["peak_rss_mb"])
-            digests[name].add(out["digest"])
-        base, head = times["base"][-1], times["head"][-1]
-        print(f"pair {pair + 1:2d} ({order[0]} first)  base {base:.4f} s  head {head:.4f} s  head/base {head / base:.3f}", flush=True)
+    runs = _alternate(trees, pairs, lambda tree: json.loads(_run("time", tree, listing)), lambda out: out["solve_s"])
+    times = {name: [out["solve_s"] for out in outs] for name, outs in runs.items()}
     print(*pair_summary(times["base"], times["head"]), sep="\n")
-    same = len(digests["base"] | digests["head"]) == 1
+    same = len({out["digest"] for outs in runs.values() for out in outs}) == 1
     print("partitions: " + ("equal in every process" if same else "DIFFER between trees or runs"))
-    base_mb, head_mb = (float(np.median(peaks[name])) for name in ("base", "head"))
+    base_mb, head_mb = (float(np.median([out["peak_rss_mb"] for out in runs[name]])) for name in ("base", "head"))
     print(f"peak RSS, median ru_maxrss of the timing processes: base {base_mb:.1f} MB  head {head_mb:.1f} MB  head/base {head_mb / base_mb:.3f}")
 
     counters = {name: json.loads(_run("trace", tree, listing)) for name, tree in trees.items()}
@@ -225,6 +257,15 @@ def _pairs(trees: dict[str, Path], listing: Path, workload: str, pairs: int) -> 
         base = counters["base"].get(key)
         print(f"  {key:32s} {base:>16.10g}  {head:>16.10g}  {'equal' if base == head else 'differ'}")
     return 0 if same else 1
+
+
+def _setup_pairs(trees: dict[str, Path], listing: Path, pairs: int) -> None:
+    count = len(json.loads(listing.read_text()))
+    print(f"set-up: a fresh interpreter imports vsep and loads the {count} files")
+    for tree in trees.values():
+        _setup(tree, listing)  # fills the bytecode cache; not counted
+    times = _alternate(trees, pairs, lambda tree: _setup(tree, listing), float)
+    print(*pair_summary(times["base"], times["head"]), sep="\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -251,7 +292,10 @@ def main(argv: list[str] | None = None) -> int:
             raise SystemExit(f"error: --{name} {tree} holds no src/vsep")
     with tempfile.TemporaryDirectory() as tmp:
         if args.workload:
-            return _pairs(trees, _write_cases([args.workload], Path(tmp)), args.workload, args.pairs)
+            listing = _write_cases([args.workload], Path(tmp))
+            code = _pairs(trees, listing, args.workload, args.pairs)
+            _setup_pairs(trees, listing, args.pairs)
+            return code
         return _digests(trees, _write_cases(suites, Path(tmp)))
 
 

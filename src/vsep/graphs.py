@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -230,6 +229,138 @@ def validate(g: Graph) -> list[str]:
     return out
 
 
+_MAX_DIGITS = 18  # every token of at most 18 digits fits in int64
+_OTHER_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"  # ASCII bytes besides "\n" that str.splitlines breaks at
+_INT64 = range(-(2**63), 2**63)
+
+# A reader of decimal literals [+-]?(D+.?D*|.D+)([eE][+-]?D+)?, one byte a step:
+# a row per state, a column per byte class (digit, ".", sign, "e", other).
+_LITERAL_CLASS = np.full(256, 4, dtype=np.uint8)
+_LITERAL_CLASS[[ord(c) for c in "0123456789.+-eE"]] = [0] * 10 + [1, 2, 2, 3, 3]
+_LITERAL = np.array(
+    [
+        [2, 4, 1, 9, 9],  # 0 start
+        [3, 4, 9, 9, 9],  # 1 sign
+        [2, 5, 9, 6, 9],  # 2 digits, unsigned: an int
+        [3, 5, 9, 6, 9],  # 3 digits after a sign
+        [5, 9, 9, 9, 9],  # 4 "." before any digit
+        [5, 9, 9, 6, 9],  # 5 fraction
+        [8, 9, 7, 9, 9],  # 6 "e"
+        [8, 9, 9, 9, 9],  # 7 exponent sign
+        [8, 9, 9, 9, 9],  # 8 exponent digits
+        [9, 9, 9, 9, 9],  # 9 rejected
+    ],
+    dtype=np.uint8,
+)
+_UNSIGNED, _SIGNED, _NUMBERS = 2, 3, [2, 3, 5, 8]  # plain ints; digits float() reads; all float() reads
+_LITERAL_STEP = _LITERAL[:, _LITERAL_CLASS].astype(np.uint16).ravel()  # state * 256 + byte -> state
+
+
+class _Lines:
+    """The lines of a UTF-8 text file as ``str.splitlines`` splits them.
+
+    The file's bytes are read once, and whole-array passes split every line
+    into tokens at spaces and tabs. That is how ``str.split`` splits a line
+    of printable ASCII (``exact``). A line is ``plain`` when it holds only
+    ASCII digits, spaces and tabs, in tokens of at most 18 digits, which
+    ``ints`` converts to int64. Other lines are read as ``str`` by
+    ``line`` and ``tokens``.
+    """
+
+    def __init__(self, path: str | Path):
+        data = Path(path).read_bytes()
+        if not data.isascii() or any(c in data for c in _OTHER_BREAKS):
+            data = _one_break_per_line(data)
+        self.data = data
+        self.bytes = b = np.frombuffer(data, dtype=np.uint8)
+        newline = b == ord("\n")
+        solid = ~(newline | (b == ord(" ")) | (b == ord("\t")))
+        ends = np.flatnonzero(newline)
+        if data and data[-1:] != b"\n":
+            ends = np.append(ends, len(data))
+        self.size = ends.size
+        self.starts, self.ends = np.concatenate(([0], ends[:-1] + 1))[: ends.size], ends
+        edges = np.flatnonzero(np.diff(solid, prepend=False, append=False))
+        self.tok_start, self.tok_end = edges[0::2], edges[1::2]
+        self.first = np.searchsorted(self.tok_start, self.starts)
+        self.counts = np.diff(self.first, append=self.tok_start.size)
+        long = self.tok_start[self.tok_end - self.tok_start > _MAX_DIGITS]
+        self.exact = self._without(np.flatnonzero(solid & (b - ord("!") > ord("~") - ord("!"))))
+        self.plain = self._without(np.flatnonzero(solid & (b - ord("0") > 9))) & self._without(long)
+
+    def _without(self, positions: np.ndarray) -> np.ndarray:
+        """Mask of the lines that hold none of the byte ``positions``."""
+        out = np.ones(self.size, dtype=bool)
+        out[np.searchsorted(self.ends, positions)] = False
+        return out
+
+    def line(self, k: int) -> str:
+        return self.data[self.starts[k] : self.ends[k]].decode("utf-8")
+
+    def tokens(self, k: int) -> list[str]:
+        return self.line(k).split()
+
+    def count(self, lines: np.ndarray) -> np.ndarray:
+        """The number of tokens on each of ``lines``."""
+        out = self.counts[lines]
+        for i in np.flatnonzero(~self.exact[lines]).tolist():
+            out[i] = len(self.tokens(int(lines[i])))
+        return out
+
+    def token_index(self, lines: np.ndarray) -> np.ndarray:
+        """The tokens of the exact ``lines``, in order."""
+        return _ranges(self.first[lines], self.counts[lines])
+
+    def ints(self, at: np.ndarray) -> np.ndarray:
+        """The tokens ``at``, each at most 18 ASCII digits, as int64."""
+        start, length = self.tok_start[at], self.tok_end[at] - self.tok_start[at]
+        value = np.zeros(at.shape, dtype=np.int64)
+        for d in range(int(length.max(initial=0))):  # bytes past a token's end are read and dropped
+            digit = self.bytes.take(start + d, mode="clip") - ord("0")
+            value = np.where(length > d, value * 10 + digit, value)
+        return value
+
+    def literals(self, at: np.ndarray) -> np.ndarray:
+        """The state of ``_LITERAL`` after each token ``at``; an unsigned
+        int of more than 18 digits ends in the signed-digits state."""
+        start, length = self.tok_start[at], self.tok_end[at] - self.tok_start[at]
+        state = np.zeros(at.shape, dtype=np.uint16)
+        for d in range(int(length.max(initial=0))):
+            byte = self.bytes.take(start + d, mode="clip")
+            np.copyto(state, _LITERAL_STEP.take((state << 8) | byte), where=length > d)
+        state[(state == _UNSIGNED) & (length > _MAX_DIGITS)] = _SIGNED
+        return state
+
+
+def _one_break_per_line(data: bytes) -> bytes:
+    """``data`` decoded as UTF-8, with each line ``str.splitlines`` finds ended by one "\\n"."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"line {line} is not UTF-8: byte {exc.start} ({exc.reason})") from None
+    return "".join(ln + "\n" for ln in text.splitlines()).encode("utf-8")
+
+
+def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges [first[k], first[k] + counts[k]), concatenated."""
+    return np.repeat(first - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
+def _int64(tokens: list[str]) -> list[int]:
+    """``tokens`` as ints; ValueError names the first that is no int64."""
+    out = []
+    for t in tokens:
+        try:
+            x = int(t)
+        except ValueError:
+            raise ValueError("non-integer token") from None
+        if x not in _INT64:
+            raise ValueError("token too large")
+        out.append(x)
+    return out
+
+
 _MM_FIELDS = {"real": 1, "integer": 1, "pattern": 0, "complex": 2}
 _MM_SYMMETRIES = {"general", "symmetric", "skew-symmetric", "hermitian"}
 
@@ -245,14 +376,14 @@ def load_matrix_market(path: str | Path) -> Graph:
     Raises ParseError for malformed content and IndexError for entries
     outside the declared dimensions.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    text = _Lines(path)
+    if not text.size:
         raise ParseError("empty file")
 
-    banner = lines[0].split()
+    banner_line = text.line(0)
+    banner = banner_line.split()
     if len(banner) != 5 or banner[0].lower() != "%%matrixmarket":
-        raise ParseError(f"bad MatrixMarket banner: {lines[0]!r}")
+        raise ParseError(f"bad MatrixMarket banner: {banner_line!r}")
     obj, fmt, field, symmetry = (t.lower() for t in banner[1:])
     if obj != "matrix":
         raise ParseError(f"unsupported object {obj!r}")
@@ -265,86 +396,86 @@ def load_matrix_market(path: str | Path) -> Graph:
     arity = 2 + _MM_FIELDS[field]
 
     pos = 1
-    while pos < len(lines) and (lines[pos].startswith("%") or not lines[pos].strip()):
+    while pos < text.size and (text.line(pos).startswith("%") or not text.line(pos).strip()):
         pos += 1
-    if pos >= len(lines):
+    if pos >= text.size:
         raise ParseError("missing size line")
-    size_tokens = lines[pos].split()
+    size_line = text.line(pos)
+    size_tokens = size_line.split()
     if len(size_tokens) != 3:
-        raise ParseError(f"bad size line: {lines[pos]!r}")
+        raise ParseError(f"bad size line: {size_line!r}")
     try:
         rows, cols, nnz = (int(t) for t in size_tokens)
     except ValueError as exc:
-        raise ParseError(f"bad size line: {lines[pos]!r}") from exc
+        raise ParseError(f"bad size line: {size_line!r}") from exc
     if rows != cols:
         raise ParseError(f"matrix is {rows}x{cols}; a graph needs a square matrix")
     if rows < 0 or nnz < 0:
         raise ParseError("negative dimensions")
     n = rows
-    pos += 1
 
-    entries = [ln for ln in lines[pos:] if ln.strip()]
-    tokens = [ln.split() for ln in entries]
+    lines = np.arange(pos + 1, text.size)
+    counts = text.count(lines)
+    entries, counts = lines[counts > 0], counts[counts > 0]
     # The first faulty entry decides the error, as in a line-by-line reader:
-    # each check below narrows ``end`` to the first entry it rejects.
-    end = min(len(tokens), nnz)
-    fault = ParseError("more entries than declared") if len(tokens) > nnz else None
-    bad = np.flatnonzero(np.fromiter(map(len, tokens[:end]), np.int64, end) != arity)
+    # each check below narrows ``end`` to the first entry it rejects, and an
+    # entry outside the declared size before ``end`` comes first.
+    end = min(entries.size, nnz)
+    fault = ParseError("more entries than declared") if entries.size > nnz else None
+    bad = np.flatnonzero(counts[:end] != arity)
     if bad.size:
         end = int(bad[0])
-        fault = ParseError(f"entry has {len(tokens[end])} tokens, expected {arity}: {entries[end]!r}")
+        fault = ParseError(f"entry has {counts[end]} tokens, expected {arity}: {text.line(entries[end])!r}")
+    # An entry of printable ASCII whose indices are plain ints and whose values
+    # are decimal literals is read by whole-array passes; any other entry
+    # goes through int() and float() one by one.
+    exact = np.flatnonzero(text.exact[entries[:end]])
+    at = text.token_index(entries[exact]).reshape(-1, arity)
+    read = text.plain[entries[exact]]
+    check = np.flatnonzero(~read)
+    indices_read = (text.literals(at[check, :2]) == _UNSIGNED).all(axis=1)
+    values_read = np.isin(text.literals(at[check, 2:]), _NUMBERS).all(axis=1)
+    read[check] = indices_read & values_read
+    fast = np.zeros(end, dtype=bool)
+    fast[exact[read]] = True
+    ij = np.empty((end, 2), dtype=np.int64)
+    ij[fast] = text.ints(at[read, :2])
+    special: dict[int, tuple[int, int]] = {}
+    for k in np.flatnonzero(~fast).tolist():
+        t = text.tokens(int(entries[k]))
+        try:
+            i, j = int(t[0]), int(t[1])
+            for x in t[2:]:
+                float(x)
+        except ValueError:
+            end, fault = k, ParseError(f"malformed entry: {text.line(entries[k])!r}")
+            break
+        special[k] = i, j
 
-    def out_of_bounds(i: int, j: int) -> IndexError:
-        return IndexError(f"entry ({i}, {j}) out of bounds for declared size {n}")
-
-    try:
-        ij = _mm_indices(tokens[:end], arity)
-    except (ValueError, OverflowError):
-        # rescan entry by entry for the first token that does not parse;
-        # an index too large for int64 is out of bounds
-        for k, t in enumerate(tokens[:end]):
-            try:
-                i, j = int(t[0]), int(t[1])
-                for x in t[2:]:
-                    float(x)
-            except ValueError:
-                end, fault = k, ParseError(f"malformed entry: {entries[k]!r}")
-                break
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise out_of_bounds(i, j) from None
-        ij = _mm_indices(tokens[:end], arity)
-    bad = np.flatnonzero(((ij < 1) | (ij > n)).any(axis=1))
+    ij, fast = ij[:end], fast[:end]
+    outside = [(k, i, j) for k, (i, j) in special.items() if not (1 <= i <= n and 1 <= j <= n)][:1]
+    bad = np.flatnonzero(fast & ((ij < 1) | (ij > n)).any(axis=1))
     if bad.size:
-        raise out_of_bounds(*ij[bad[0]])
+        outside.append((bad[0], *ij[bad[0]]))
+    if outside:
+        _, i, j = min(outside)
+        raise IndexError(f"entry ({i}, {j}) out of bounds for declared size {n}")
     if fault is not None:
         raise fault
-    if len(tokens) < nnz:
-        raise ParseError(f"declared {nnz} entries, found {len(tokens)}")
+    if entries.size < nnz:
+        raise ParseError(f"declared {nnz} entries, found {entries.size}")
 
-    lo, hi = ij.min(axis=1) - 1, ij.max(axis=1) - 1
-    pairs = np.unique((lo * n + hi)[lo != hi])
-    return Graph.from_edges(n, np.column_stack(np.divmod(pairs, max(n, 1))))
-
-
-def _mm_indices(tokens: list[list[str]], arity: int) -> np.ndarray:
-    """The 1-based (i, j) of entries of ``arity`` tokens each.
-
-    Raises ValueError if a token does not parse, OverflowError if an index
-    does not fit in int64.
-    """
-    flat = list(chain.from_iterable(tokens))
-    for col in range(2, arity):
-        np.fromiter(map(float, flat[col::arity]), np.float64)
-    return np.column_stack([np.fromiter(map(int, flat[col::arity]), np.int64, len(tokens)) for col in (0, 1)])
-
-
-def _int_tokens(tokens: list[list[str]]) -> np.ndarray:
-    """The tokens of all lines, in order, as one int64 array.
-
-    Raises ValueError if a token is not an integer, OverflowError if one
-    does not fit in int64.
-    """
-    return np.fromiter(map(int, chain.from_iterable(tokens)), np.int64, sum(map(len, tokens)))
+    for k, (i, j) in special.items():
+        ij[k] = i, j
+    u, v = ij[:, 0] - 1, ij[:, 1] - 1
+    off = u != v
+    keys = np.sort(np.concatenate((u[off] * n + v[off], v[off] * n + u[off])))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    row, col = np.divmod(keys, max(n, 1))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    unit = np.ones(n, dtype=np.int64)
+    return Graph(n, indptr, col, np.ones(keys.size, dtype=np.int64), unit, unit)
 
 
 def load_metis(path: str | Path) -> Graph:
@@ -361,20 +492,21 @@ def load_metis(path: str | Path) -> Graph:
     AsymmetryError when an edge appears on only one endpoint's line or
     with inconsistent weights.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [ln for ln in fh.read().splitlines() if not ln.startswith("%")]
-    if not rows or not rows[0].strip():
+    text = _Lines(path)
+    rows = np.flatnonzero(text.bytes[text.starts] != ord("%"))  # an empty line starts at its "\n"
+    if not rows.size or not text.line(rows[0]).strip():
         raise ParseError("empty file")
 
-    header = rows[0].split()
+    header_line = text.line(rows[0])
+    header = header_line.split()
     if not 2 <= len(header) <= 4:
-        raise ParseError(f"bad header: {rows[0]!r}")
+        raise ParseError(f"bad header: {header_line!r}")
     try:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
-        raise ParseError(f"bad header: {rows[0]!r}") from exc
+        raise ParseError(f"bad header: {header_line!r}") from exc
     if n < 0 or m < 0:
-        raise ParseError(f"bad header: {rows[0]!r}")
+        raise ParseError(f"bad header: {header_line!r}")
     fmt = header[2] if len(header) > 2 else "0"
     if len(fmt) > 3 or any(ch not in "01" for ch in fmt):
         raise ParseError(f"bad fmt field: {fmt!r}")
@@ -390,32 +522,35 @@ def load_metis(path: str | Path) -> Graph:
             raise ParseError(f"ncon={ncon} unsupported (exactly one vertex weight)")
 
     # absent trailing lines stand for isolated vertices
-    vertex_lines = rows[1:] + [""] * (n - (len(rows) - 1))
-    if len(vertex_lines) > n:
-        if any(ln.strip() for ln in vertex_lines[n:]):
-            raise ParseError(f"expected {n} vertex lines, found {len(rows) - 1}")
-        vertex_lines = vertex_lines[:n]
+    vertex_lines = rows[1 : n + 1]
+    if rows.size > n + 1 and text.count(rows[n + 1 :]).any():
+        raise ParseError(f"expected {n} vertex lines, found {rows.size - 1}")
 
     # The first faulty line decides the error, as in a line-by-line reader:
     # lines past one that does not parse are not checked.
-    tokens = [ln.split() for ln in vertex_lines]
     end, parse_fault = n, None
-    try:
-        flat = _int_tokens(tokens)
-    except (ValueError, OverflowError):
-        for end, t in enumerate(tokens):
-            try:
-                _int_tokens([t])
-            except ValueError:
-                parse_fault = ParseError(f"non-integer token on vertex line {end + 1}")
-                break
-            except OverflowError:
-                parse_fault = ParseError(f"token too large on vertex line {end + 1}")
-                break
-        tokens = tokens[:end]
-        flat = _int_tokens(tokens)
-    counts = np.fromiter(map(len, tokens), np.int64, end)
+    special: dict[int, list[int]] = {}
+    for k in np.flatnonzero(~text.plain[vertex_lines]).tolist():
+        try:
+            special[k] = _int64(text.tokens(int(vertex_lines[k])))
+        except ValueError as exc:
+            end, parse_fault = k, ParseError(f"{exc} on vertex line {k + 1}")
+            break
+    present = vertex_lines[:end]
+    counts = np.zeros(end, dtype=np.int64)
+    counts[: present.size] = text.counts[present]
+    for k, values in special.items():
+        counts[k] = len(values)
     starts = np.cumsum(counts) - counts
+    if special:
+        plain = np.flatnonzero(text.plain[present])
+        flat = np.empty(counts.sum(), dtype=np.int64)
+        flat[_ranges(starts[plain], counts[plain])] = text.ints(text.token_index(present[plain]))
+        for k, values in special.items():
+            flat[starts[k] : starts[k] + counts[k]] = values
+    else:
+        flat = text.ints(text.token_index(present))
+
     head = int(has_size) + int(has_weight)
     step = 2 if has_eweight else 1
     padded = np.concatenate((flat, np.zeros(2, dtype=np.int64)))  # reads on short lines stay in range
@@ -433,19 +568,26 @@ def load_metis(path: str | Path) -> Graph:
         ]
     )
 
-    # one (u, v, w) per neighbour token of the lines without a fault above; v is 0-based
-    line = np.repeat(np.arange(end, dtype=np.int64), counts)
-    offset = np.arange(flat.size) - starts[line] - head
-    at = np.flatnonzero((offset >= 0) & (offset % step == 0))
-    if line_fault is not None:
-        at = at[line[at] < line_fault[0]]
-    u, v = line[at], flat[at] - 1
+    # one (u, v, w) per neighbour token of the lines before the first faulty
+    # one, in file order; v is 0-based
+    ok = end if line_fault is None else line_fault[0]
+    degree = (counts[:ok] - head) // step
+    u = np.repeat(np.arange(ok, dtype=np.int64), degree)
+    at = _ranges(starts[:ok] + head, degree * step)[::step]
+    v = flat[at] - 1
     w = flat[at + 1] if has_eweight else np.ones(at.size, dtype=np.int64)
+    # one sort puts the entries in CSR order and finds repeats; files that
+    # list each line's neighbours in ascending order skip it
+    keys = u * n + v
+    order = None if np.all(keys[1:] > keys[:-1]) else np.argsort(keys, kind="stable")
+    repeat = np.zeros(keys.size, dtype=bool)
+    if order is not None:
+        repeat[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
     entry_fault = _first_fault(
         [
             ((v < 0) | (v >= n), "vertex line {u}: neighbor {v} out of range"),
             (u == v, "vertex line {u}: self-loop"),
-            (_repeats(u * n + v), "vertex line {u}: duplicate neighbor {v}"),
+            (repeat, "vertex line {u}: duplicate neighbor {v}"),
             (w < 1, "vertex line {u}: edge weight {w} < 1"),
         ]
     )
@@ -460,19 +602,25 @@ def load_metis(path: str | Path) -> Graph:
 
     # neighbours are distinct, so the lines mirror each other iff the sorted
     # (u, v, w) and (v, u, w) records agree
-    keys, mirror = u * n + v, v * n + u
-    order, mirror_order = np.argsort(keys), np.argsort(mirror)
-    if not (np.array_equal(keys[order], mirror[mirror_order]) and np.array_equal(w[order], w[mirror_order])):
-        hit = order[np.minimum(np.searchsorted(keys, mirror, sorter=order), keys.size - 1)]
-        k = int(np.argmax((keys[hit] != mirror) | (w[hit] != w)))
+    csr = slice(None) if order is None else order
+    keys, weights = keys[csr], w[csr]
+    mirror = v[csr] * n + u[csr]
+    if has_eweight:
+        mirror_order = np.argsort(mirror)
+        mirrored = np.array_equal(keys, mirror[mirror_order]) and np.array_equal(weights, weights[mirror_order])
+    else:
+        mirrored = np.array_equal(keys, np.sort(mirror))
+    if not mirrored:
+        hit = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+        unmirrored = np.flatnonzero((keys[hit] != mirror) | (weights[hit] != weights))
+        k = int(unmirrored[0] if order is None else order[unmirrored].min())
         raise AsymmetryError(f"edge ({u[k] + 1}, {v[k] + 1}) not mirrored on vertex {v[k] + 1}")
     if keys.size // 2 != m:
         raise ParseError(f"header declares {m} edges, found {keys.size // 2}")
 
-    forward = u < v
-    return Graph.from_edges(
-        n, np.column_stack((u[forward], v[forward], w[forward])), vertex_cost=cost, vertex_size=size
-    )
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
+    return Graph(n, indptr, v[csr], weights, cost, size)
 
 
 def save_metis(g: Graph, path: str | Path) -> None:

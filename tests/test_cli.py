@@ -109,6 +109,14 @@ def test_entry_outside_declared_size_exit_2(tmp_path, capsys, command):
     assert err == "error: entry (5, 1) out of bounds for declared size 3\n"
 
 
+def test_solve_non_utf8_file_exit_2(tmp_path, capsys):
+    f = tmp_path / "bad.graph"
+    f.write_bytes(b"2 1\n2\n1 \xff\n")
+    code, _, err = run(capsys, "solve", str(f))
+    assert code == 2
+    assert err.startswith("error: line 3 is not UTF-8")
+
+
 def test_solve_missing_file_exit_2(tmp_path, capsys):
     code, _, _ = run(capsys, "solve", str(tmp_path / "nope.graph"))
     assert code == 2
@@ -320,6 +328,18 @@ def test_bench_unreadable_row_does_not_end_the_table(tmp_path, capsys):
     assert rows["bad"][1:] == ["1", "UNREADABLE"]  # only the reference is known
     assert rows["p5"][-1] == "ok"
     assert "unreadable benchmark graphs:" in err and "bad.graph" in err
+
+
+def test_bench_non_utf8_row_does_not_end_the_table(tmp_path, capsys):
+    (tmp_path / "bad.graph").write_bytes(b"\xff")
+    write(tmp_path, "ok.graph", P5_METIS)
+    manifest = write(tmp_path, "m.txt", "bad bad.graph 5 1 1.5\nok ok.graph 5 1 1.5\n")
+    code, out, err = run(capsys, "bench", str(manifest))
+    assert code == 2
+    rows = {ln.split()[0]: ln.split() for ln in out.splitlines()[1:]}
+    assert rows["bad"][1:] == ["1", "UNREADABLE"]
+    assert rows["ok"][-1] == "ok"
+    assert "bad.graph: line 1 is not UTF-8" in err
 
 
 def test_bench_dimension_mismatch_is_invalid(tmp_path, capsys):

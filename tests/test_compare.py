@@ -127,3 +127,32 @@ def test_time_worker_reports_its_peak_rss(tmp_path):
     out = json.loads(proc.stdout)
     assert set(out) == {"solve_s", "digest", "peak_rss_mb"}
     assert 10 < out["peak_rss_mb"] < 4096  # numpy and scipy alone take tens of MB
+
+
+def test_setup_pairs_print_their_verdict(tmp_path, monkeypatch, capsys):
+    compare = _compare()
+    listing = tmp_path / "cases.json"
+    listing.write_text(json.dumps([["g", "g.graph", 1], ["h", "h.mtx", 1]]))
+    trees = {"base": tmp_path / "base", "head": tmp_path / "head"}
+    # the first call per tree fills the bytecode cache and is not counted
+    times = {"base": iter([9.0, 1.0, 1.1, 1.2]), "head": iter([9.0, 0.5, 0.6, 0.7])}
+    monkeypatch.setattr(compare, "_setup", lambda tree, listing: next(times[tree.name]))
+    compare._setup_pairs(trees, listing, 3)
+    out = capsys.readouterr().out.splitlines()
+    assert out[:4] == [
+        "set-up: a fresh interpreter imports vsep and loads the 2 files",
+        "pair  1 (base first)  base 1.0000 s  head 0.5000 s  head/base 0.500",
+        "pair  2 (head first)  base 1.1000 s  head 0.6000 s  head/base 0.545",
+        "pair  3 (base first)  base 1.2000 s  head 0.7000 s  head/base 0.583",
+    ]
+    assert out[4:] == compare.pair_summary([1.0, 1.1, 1.2], [0.5, 0.6, 0.7])
+    assert out[-1] == "verdict: faster"
+
+
+def test_setup_times_a_fresh_interpreter(tmp_path):
+    (tmp_path / "p5.graph").write_text(P5_METIS)
+    listing = tmp_path / "cases.json"
+    listing.write_text(json.dumps([["p5", str(tmp_path / "p5.graph"), SolveParams.lb]]))
+    seconds = _compare()._setup(ROOT, listing)
+    assert 0 < seconds < 60
+    assert (tmp_path / "pycache").is_dir()  # bytecode goes beside the listing

@@ -223,6 +223,8 @@ def _load_metis_lines(text):
     fmt = header[2] if len(header) > 2 else "0"
     has_size, has_weight, has_eweight = (ch == "1" for ch in fmt.zfill(3))
     vertex_lines = rows[1:] + [""] * (n - (len(rows) - 1))
+    if any(ln.strip() for ln in vertex_lines[n:]):
+        raise ParseError(f"expected {n} vertex lines, found {len(rows) - 1}")
     cost, size = [1] * n, [1] * n
     adj = [dict() for _ in range(n)]
     for u in range(n):
@@ -294,13 +296,36 @@ def test_metis_first_faulty_line_decides(tmp_path):
     assert _metis_outcome(lambda t: load_metis(write(tmp_path, "two.graph", t)), text) == expected
 
 
+def _relayout(text, rng, start=0):
+    """``text`` past character ``start`` with the same tokens laid out anew:
+    CRLF line ends; tabs between tokens and blanks after them; a form feed,
+    vertical tab or lone carriage return, which ``str.splitlines`` takes for
+    a line break, or a unit separator or no-break space, which ``str.split``
+    takes for a blank; or a ``%`` comment line of UTF-8 text."""
+    head, body = text[:start], text[start:]
+    kind = int(rng.integers(4))
+    if kind == 0:
+        body = body.replace("\n", "\r\n")
+    elif kind == 1:
+        body = body.replace(" ", "\t").replace("\n", " \t \n")
+    elif kind == 2:
+        pos = int(rng.integers(len(body) + 1))
+        body = body[:pos] + ["\f", "\v", "\r", "\x1f", "\xa0"][int(rng.integers(5))] + body[pos:]
+    else:
+        starts = [0] + [i + 1 for i, ch in enumerate(body) if ch == "\n"]
+        pos = starts[int(rng.integers(len(starts)))]
+        body = body[:pos] + "% größe — naïve ✓\n" + body[pos:]
+    return head + body
+
+
 def test_metis_errors_match_line_reader(tmp_path):
     rng = np.random.default_rng(17)
+    layout = np.random.default_rng(71)
     fmts = ["0", "1", "10", "11", "100", "101", "110", "111"]
     f = tmp_path / "fuzz.graph"
 
     def load(text):
-        f.write_text(text)
+        f.write_bytes(text.encode("utf-8"))
         return load_metis(f)
 
     for trial in range(300):
@@ -334,8 +359,151 @@ def test_metis_errors_match_line_reader(tmp_path):
             else:
                 toks.append(toks[-1] if toks else "1")
         m = len(ew) // 2
-        text = f"{n} {m} {fmt}\n" + "".join(" ".join(t) + "\n" for t in lines)
-        assert _metis_outcome(load, text) == _metis_outcome(_load_metis_lines, text), text
+        header = f"{n} {m} {fmt}\n"
+        text = header + "".join(" ".join(t) + "\n" for t in lines)
+        for variant in (text, _relayout(text, layout, len(header))):
+            assert _metis_outcome(load, variant) == _metis_outcome(_load_metis_lines, variant), repr(variant)
+
+
+def _load_mm_lines(text):
+    """Line-by-line reference for load_matrix_market: (n, {(u, v)}), 0-based, u < v."""
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty file")
+    banner = lines[0].split()
+    if len(banner) != 5 or banner[0].lower() != "%%matrixmarket":
+        raise ParseError(f"bad MatrixMarket banner: {lines[0]!r}")
+    obj, fmt, field, symmetry = (t.lower() for t in banner[1:])
+    if obj != "matrix":
+        raise ParseError(f"unsupported object {obj!r}")
+    if fmt != "coordinate":
+        raise ParseError(f"unsupported format {fmt!r} (only coordinate)")
+    arity = {"pattern": 2, "real": 3, "integer": 3, "complex": 4}.get(field)
+    if arity is None:
+        raise ParseError(f"unknown field {field!r}")
+    if symmetry not in ("general", "symmetric", "skew-symmetric", "hermitian"):
+        raise ParseError(f"unknown symmetry {symmetry!r}")
+    pos = 1
+    while pos < len(lines) and (lines[pos].startswith("%") or not lines[pos].strip()):
+        pos += 1
+    if pos >= len(lines):
+        raise ParseError("missing size line")
+    size = lines[pos].split()
+    if len(size) != 3:
+        raise ParseError(f"bad size line: {lines[pos]!r}")
+    try:
+        rows, cols, nnz = (int(t) for t in size)
+    except ValueError:
+        raise ParseError(f"bad size line: {lines[pos]!r}") from None
+    if rows != cols:
+        raise ParseError(f"matrix is {rows}x{cols}; a graph needs a square matrix")
+    if rows < 0 or nnz < 0:
+        raise ParseError("negative dimensions")
+    n, count, edges = rows, 0, set()
+    for line in lines[pos + 1 :]:
+        tokens = line.split()
+        if not tokens:
+            continue
+        if count == nnz:
+            raise ParseError("more entries than declared")
+        if len(tokens) != arity:
+            raise ParseError(f"entry has {len(tokens)} tokens, expected {arity}: {line!r}")
+        try:
+            i, j = int(tokens[0]), int(tokens[1])
+            for x in tokens[2:]:
+                float(x)
+        except ValueError:
+            raise ParseError(f"malformed entry: {line!r}") from None
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise IndexError(f"entry ({i}, {j}) out of bounds for declared size {n}")
+        count += 1
+        if i != j:
+            edges.add((min(i, j) - 1, max(i, j) - 1))
+    if count < nnz:
+        raise ParseError(f"declared {nnz} entries, found {count}")
+    return n, edges
+
+
+def _mm_outcome(load, text):
+    try:
+        res = load(text)
+    except (ParseError, IndexError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(res, Graph):
+        assert validate(res) == [] and set(res.weights.tolist() + res.vertex_cost.tolist()) <= {1}
+        res = (res.n, {(u, v) for u, v, _ in res.edges()})
+    return res
+
+
+# tokens that int() or float() read beyond plain digits, and some they do not
+_MM_TOKENS = ["+3", "007", "1_0", "99999999999999999999", "-1", "0", "x", "nan", "1e3", "-.5", "1.", "inf", "1e", "٣"]
+
+
+def test_mm_errors_match_line_reader(tmp_path):
+    rng = np.random.default_rng(29)
+    layout = np.random.default_rng(92)
+    fields = {"pattern": 2, "real": 3, "integer": 3, "complex": 4}
+    f = tmp_path / "fuzz.mtx"
+
+    def load(text):
+        f.write_bytes(text.encode("utf-8"))
+        return load_matrix_market(f)
+
+    messages = []
+    for trial in range(500):
+        n = int(rng.integers(1, 7)) if trial % 10 else 0
+        field = list(fields)[trial % 4]
+        nnz = int(rng.integers(0, 8))
+        entries = [
+            [str(int(rng.integers(1, n + 1))) for _ in range(2)] if n else ["1", "1"] for _ in range(nnz)
+        ]
+        for toks in entries:
+            toks += [["1", "2.5", "-0.25", "3E+2"][int(rng.integers(4))] for _ in range(fields[field] - 2)]
+        for _ in range(int(rng.integers(0, 4))):
+            kind = int(rng.integers(7))
+            at = int(rng.integers(len(entries) + 1))
+            toks = entries[min(at, len(entries) - 1)] if entries else []
+            pos = int(rng.integers(len(toks) + 1))
+            if kind == 0 and toks:
+                toks[min(pos, len(toks) - 1)] = _MM_TOKENS[int(rng.integers(len(_MM_TOKENS)))]
+            elif kind == 1 and toks:
+                toks[min(pos, 1, len(toks) - 1)] = str(int(rng.integers(-1, n + 2)))
+            elif kind == 2:
+                toks.insert(pos, "1")
+            elif kind == 3 and toks:
+                del toks[min(pos, len(toks) - 1)]
+            elif kind == 4:
+                entries.insert(at, [])
+            elif kind == 5:
+                entries.append(["1", "1", "1.0", "0"][: fields[field]])
+            elif entries:
+                del entries[min(at, len(entries) - 1)]
+        banner = ["%%MatrixMarket", "matrix", "coordinate", field, ["general", "symmetric"][trial % 2]]
+        size = [str(n), str(n), str(nnz)]
+        if rng.random() < 0.1:
+            banner[int(rng.integers(5))] = "array"
+        if rng.random() < 0.1:
+            size[int(rng.integers(3))] = ["x", "-1", "1_0", str(n + 1), ""][int(rng.integers(5))]
+        preamble = ["% a comment", "", "  "][: int(rng.integers(4))]
+        text = "\n".join([" ".join(banner), *preamble, " ".join(size), *(" ".join(t) for t in entries)]) + "\n"
+        for variant in (text, _relayout(text, layout)):
+            expected = _mm_outcome(_load_mm_lines, variant)
+            assert _mm_outcome(load, variant) == expected, repr(variant)
+            messages.append(expected[1] if isinstance(expected[0], str) else "graph")
+    for part in ["graph", "banner", "size line", "tokens, expected", "malformed", "out of bounds", "more entries", "found"]:
+        assert sum(part in msg for msg in messages) >= 3, part
+    assert any("99999999999999999999" in msg for msg in messages)
+
+
+@pytest.mark.parametrize("blank", ["\x1f", "\xa0", "\u2003", "\u3000"])
+def test_loaders_split_tokens_as_str_split(tmp_path, blank):
+    # str.split splits at each of these as at a space, and none ends a line
+    mtx = tmp_path / "p3.mtx"
+    mtx.write_bytes(f"%%MatrixMarket matrix coordinate pattern general\n3 3 2\n1{blank}2\n3{blank}2\n".encode())
+    assert load_matrix_market(mtx) == path_graph(3)
+    metis = tmp_path / "p3.graph"
+    metis.write_bytes(f"3 2\n2\n1{blank}3\n2\n".encode())
+    assert load_metis(metis) == path_graph(3)
 
 
 def test_metis_round_trip_random(tmp_path):
