@@ -530,9 +530,9 @@ def extract_partition(inst: CbpInstance, p: Point) -> Partition:
         raise ValueError("point violates the sum bounds")
     sep = ~xb & ~yb
     return Partition(
-        a=tuple(int(i) for i in np.flatnonzero(xb)),
-        b=tuple(int(i) for i in np.flatnonzero(yb)),
-        s=tuple(int(i) for i in np.flatnonzero(sep)),
+        a=tuple(np.flatnonzero(xb).tolist()),
+        b=tuple(np.flatnonzero(yb).tolist()),
+        s=tuple(np.flatnonzero(sep).tolist()),
         separator_weight=int(inst.c[sep].sum()),
     )
 

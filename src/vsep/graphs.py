@@ -186,7 +186,9 @@ def _edge_faults(g: Graph) -> list[str]:
 
     unique_keys = sorted_keys[starts]
     mirror = cols[first] * n + rows[first]
-    hit = np.minimum(np.searchsorted(unique_keys, mirror), unique_keys.size - 1)
+    by_mirror = np.argsort(mirror)  # searching in sorted order is ~3x faster than in random order
+    hit = np.empty_like(by_mirror)
+    hit[by_mirror] = np.minimum(np.searchsorted(unique_keys, mirror[by_mirror]), unique_keys.size - 1)
     mirrored = (unique_keys[hit] == mirror) & (w[first[hit]] == w[last])
     asymmetric = first[~mirrored & (rows[first] != cols[first])]
 
@@ -361,6 +363,14 @@ def _int64(tokens: list[str]) -> list[int]:
     return out
 
 
+def _allocatable(n: int) -> bool:
+    """Whether n vertices keep the int64 keys u * n + v exact and their indptr, costs and sizes fit in memory."""
+    try:
+        return n * n < 2**63 and np.empty((3, n + 1), dtype=np.int64).size > 0  # never written
+    except MemoryError:
+        return False
+
+
 _MM_FIELDS = {"real": 1, "integer": 1, "pattern": 0, "complex": 2}
 _MM_SYMMETRIES = {"general", "symmetric", "skew-symmetric", "hermitian"}
 
@@ -412,6 +422,8 @@ def load_matrix_market(path: str | Path) -> Graph:
         raise ParseError(f"matrix is {rows}x{cols}; a graph needs a square matrix")
     if rows < 0 or nnz < 0:
         raise ParseError("negative dimensions")
+    if not _allocatable(rows):
+        raise ParseError(f"bad size line: {size_line!r} declares more vertices than can be allocated")
     n = rows
 
     lines = np.arange(pos + 1, text.size)
@@ -505,7 +517,7 @@ def load_metis(path: str | Path) -> Graph:
         n, m = int(header[0]), int(header[1])
     except ValueError as exc:
         raise ParseError(f"bad header: {header_line!r}") from exc
-    if n < 0 or m < 0:
+    if n < 0 or m < 0 or not _allocatable(n):
         raise ParseError(f"bad header: {header_line!r}")
     fmt = header[2] if len(header) > 2 else "0"
     if len(fmt) > 3 or any(ch not in "01" for ch in fmt):
@@ -593,7 +605,7 @@ def load_metis(path: str | Path) -> Graph:
     )
     if entry_fault is not None:
         k, msg = entry_fault
-        raise ParseError(msg.format(u=u[k] + 1, v=v[k] + 1, w=w[k]))
+        raise ParseError(msg.format(u=u[k] + 1, v=flat[at[k]], w=w[k]))  # v + 1 can wrap
     if line_fault is not None:
         k, msg = line_fault
         raise ParseError(msg.format(u=k + 1, size=size[k], cost=cost[k]))

@@ -118,24 +118,29 @@ def ascending_degree_order(B: sp.csr_array) -> np.ndarray:
 
 def heavy_edge_matching(B: sp.csr_array, order: np.ndarray) -> np.ndarray:
     """Visit vertices in the given order, pairing each unmatched vertex with
-    its unmatched neighbor of maximum weight in B's off-diagonal (ties
-    toward the lower index).
+    its unmatched neighbor of maximum positive weight in B's off-diagonal
+    (ties toward the lower index); ``mate[u]`` is u's partner, or u itself.
 
-    Returns ``mate``: ``mate[u]`` is u's partner, or u itself when u has no
-    unmatched neighbor and stays single."""
-    indptr, indices, data = B.indptr.tolist(), B.indices.tolist(), B.data.tolist()
-    mate = list(range(B.shape[0]))
-    for u in map(int, order):
-        if mate[u] != u:
-            continue
-        best = u
-        best_w = 0
-        for k in range(indptr[u], indptr[u + 1]):
-            v = indices[k]
-            if v != u and mate[v] == v and data[k] > best_w:
-                best, best_w = v, data[k]
-        mate[u] = best  # best == u: u stays single
-        mate[best] = u
+    One scan of the edges sorted by (rank of the earlier end in ``order``,
+    -weight, later end) matches each edge whose ends are both free: by the
+    time a free vertex is visited, its earlier neighbors are all matched."""
+    n = B.shape[0]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    rows = np.repeat(np.arange(n), np.diff(B.indptr))
+    keep = (rank[rows] < rank[B.indices]) & (B.data > 0)
+    rows, cols, w = rows[keep], B.indices[keep].astype(np.int64), B.data[keep]
+    top = w.max(initial=0)
+    # one exact int64 key when integer weights (below 2**53) leave room, else a 3-key sort
+    span = int(top - w.min(initial=top)) + 1 if np.all(w == np.floor(w)) and top < 2**53 else 2**63
+    if span * n * n < 2**63:
+        edges = np.argsort((rank[rows] * span + (top - w).astype(np.int64)) * n + cols)
+    else:
+        edges = np.lexsort((cols, -w, rank[rows]))
+    mate = list(range(n))
+    for u, v in zip(rows[edges].tolist(), cols[edges].tolist()):
+        if mate[u] == u and mate[v] == v:
+            mate[u], mate[v] = v, u
     return np.array(mate, dtype=np.int64)
 
 
@@ -150,7 +155,7 @@ def contract(level: Level, mate: np.ndarray) -> Level:
     keeps the bilinear objective of any prolonged point identical to its
     coarse value.
     """
-    fine = level.inst
+    fine, B = level.inst, level.inst.B
     n = fine.n
     mate = np.asarray(mate)
     ids = np.arange(n)
@@ -158,19 +163,17 @@ def contract(level: Level, mate: np.ndarray) -> Level:
     if not (in_range and np.array_equal(mate[mate], ids)):
         raise ValueError("mate is not an involution on the vertex set")
     u = np.flatnonzero(ids < mate)
-    if u.size and np.any(fine.B[u, mate[u]] == 0):
+    if u.size and np.any(B[u, mate[u]] == 0):
         raise ValueError("a matched pair is not an edge")
 
     leader = np.minimum(ids, mate)
     is_leader = leader == ids
     cmap = (np.cumsum(is_leader) - 1)[leader]
     nc = int(is_leader.sum())
-    P = sp.csr_array((np.ones(n), (ids, cmap)), shape=(n, nc))
-
-    inst = CbpInstance(
-        nc, P.T @ fine.B @ P, P.T @ fine.c, P.T @ fine.s, fine.la, fine.ua, fine.lb, fine.ub
-    )
-    return Level(inst, cmap)
+    # B_c = P^T B P as one COO sum: duplicates add, exactly for integers below 2**53
+    Bc = sp.coo_array((B.data, (np.repeat(cmap, np.diff(B.indptr)), cmap[B.indices])), shape=(nc, nc))
+    c, s = (np.bincount(cmap, v, nc) for v in (fine.c, fine.s))
+    return Level(CbpInstance(nc, Bc.tocsr(), c, s, fine.la, fine.ua, fine.lb, fine.ub), cmap)
 
 
 def prolong(coarse: Level, p: Point) -> Point:

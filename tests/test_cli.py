@@ -109,6 +109,24 @@ def test_entry_outside_declared_size_exit_2(tmp_path, capsys, command):
     assert err == "error: entry (5, 1) out of bounds for declared size 3\n"
 
 
+@pytest.mark.parametrize(
+    "name, text, error",
+    [
+        ("huge.graph", "1000000000000 0\n", "bad header: '1000000000000 0'"),
+        (
+            "huge.mtx",
+            "%%MatrixMarket matrix coordinate pattern symmetric\n1000000000000 1000000000000 0\n",
+            "bad size line: '1000000000000 1000000000000 0' declares more vertices than can be allocated",
+        ),
+    ],
+    ids=["metis", "mtx"],
+)
+def test_solve_header_beyond_memory_exit_2(tmp_path, capsys, name, text, error):
+    code, _, err = run(capsys, "solve", str(write(tmp_path, name, text)))
+    assert code == 2
+    assert err == f"error: {error}\n"
+
+
 def test_solve_non_utf8_file_exit_2(tmp_path, capsys):
     f = tmp_path / "bad.graph"
     f.write_bytes(b"2 1\n2\n1 \xff\n")

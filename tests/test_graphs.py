@@ -215,6 +215,34 @@ def test_metis_malformed(tmp_path, text):
         load_metis(f)
 
 
+@pytest.mark.parametrize(
+    "load, text, error",
+    [
+        (load_metis, "10 0\n", "bad header: '10 0'"),
+        (load_matrix_market, "%%MatrixMarket matrix coordinate pattern symmetric\n10 10 0\n", "bad size line: '10 10 0'"),
+    ],
+    ids=["metis", "mtx"],
+)
+def test_loaders_reject_vertices_that_cannot_be_allocated(tmp_path, monkeypatch, load, text, error):
+    """The loaders allocate the graph's vertex arrays before any other O(n)
+    array; when that fails the header line is named."""
+    f = write(tmp_path, "g.txt", text)
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "empty", no_memory)
+    with pytest.raises(ParseError, match="^" + error):
+        load(f)
+
+
+def test_metis_most_negative_neighbor_is_out_of_range(tmp_path):
+    # neighbor - 1 wraps around in int64; the message must name the token as written
+    f = write(tmp_path, "wrap.graph", "2 0\n-9223372036854775808\n\n")
+    with pytest.raises(ParseError, match=r"^vertex line 1: neighbor -9223372036854775808 out of range$"):
+        load_metis(f)
+
+
 def _load_metis_lines(text):
     """Line-by-line reference for load_metis: (n, {(u, v): w}, cost, size), 0-based."""
     rows = [ln for ln in text.splitlines() if not ln.startswith("%")]
@@ -697,6 +725,30 @@ def test_validate_matches_loop_reference():
         assert validate(g) == expected
         faulty += bool(expected)
     assert faulty > 100
+
+
+def _symmetric_graph(rng, n, m):
+    """A valid graph of n vertices and m random weighted edges, rows in CSR order."""
+    u, v = rng.integers(0, n, size=(2, 3 * m))
+    keys = np.unique(np.minimum(u, v)[u != v] * n + np.maximum(u, v)[u != v])
+    keys = rng.permutation(keys)[:m]
+    return Graph.from_edges(n, np.column_stack((keys // n, keys % n, rng.integers(1, 5, keys.size))))
+
+
+def test_validate_matches_loop_reference_on_large_graphs():
+    """Symmetric graphs of at least 10 000 entries, whose mirror lookups
+    span many rows, clean and with one broken mirror."""
+    rng = np.random.default_rng(77)
+    for n, m in ((1500, 5000), (6000, 7000)):
+        g = _symmetric_graph(rng, n, m)
+        assert g.indices.size >= 10_000
+        assert validate(g) == _validate_loop(g) == []
+        weights = g.weights.copy()
+        weights[int(rng.integers(weights.size))] += 1  # one entry no longer equals its mirror
+        broken = _graph(n, g.indptr, g.indices, weights)
+        expected = _validate_loop(broken)
+        assert len(expected) == 2 and all(rec.startswith("asymmetry: ") for rec in expected)
+        assert validate(broken) == expected
 
 
 def test_from_edges_rejects_bad_input():

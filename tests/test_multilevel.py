@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import (
     complete_graph,
@@ -123,21 +124,76 @@ def _mate_from_pairs(n, pairs):
     return mate
 
 
+def _star(n):
+    return Graph.from_edges(n, [(0, v) for v in range(1, n)])
+
+
+def _coarse_level(g, rng, depth):
+    """g's finest level contracted ``depth`` times along random-order
+    matchings: aggregated sizes and summed edge weights, many of them tied."""
+    lvl = finest_level(g)
+    for _ in range(depth):
+        lvl = contract(lvl, heavy_edge_matching(lvl.inst.B, rng.permutation(lvl.inst.n)))
+    return lvl
+
+
+def _assert_matches_reference(B, order):
+    pairs, singles = _pair_list_matching(B, order)
+    mate = heavy_edge_matching(B, order)
+    assert mate.tolist() == _mate_from_pairs(B.shape[0], pairs).tolist()
+    assert np.flatnonzero(mate == np.arange(B.shape[0])).tolist() == list(singles)
+
+
 def test_matching_matches_pair_list_reference():
-    """The mate array against the former pair list, on finest and weighted
-    coarse levels, in degree order and in random visiting orders."""
+    """The mate array against the former pair list, on finest levels and on
+    levels contracted once or twice, for random graphs, stars and grids of
+    up to 500 vertices, in degree order and in random visiting orders."""
     rng = np.random.default_rng(17)
-    for trial in range(30):
-        g = gnp(int(rng.integers(2, 80)), float(rng.choice([0.05, 0.15, 0.4])), seed=1300 + trial)
-        lvl = finest_level(g)
-        if trial % 3 == 2:  # a contracted level: aggregated sizes and summed edge weights
-            lvl = contract(lvl, heavy_edge_matching(lvl.inst.B, rng.permutation(g.n)))
-        B = lvl.inst.B
-        order = ascending_degree_order(B) if trial % 2 else rng.permutation(lvl.inst.n)
-        pairs, singles = _pair_list_matching(B, order)
-        mate = heavy_edge_matching(B, order)
-        assert mate.tolist() == _mate_from_pairs(lvl.inst.n, pairs).tolist()
-        assert np.flatnonzero(mate == np.arange(lvl.inst.n)).tolist() == list(singles)
+    graphs = [
+        gnp(int(rng.integers(2, 80)), float(rng.choice([0.05, 0.15, 0.4])), seed=1300 + trial)
+        for trial in range(30)
+    ]
+    graphs += [_star(n) for n in (2, 3, 17, 500)]
+    graphs += [grid_graph(20, 25), grid_graph(9, 9), gnp(500, 0.01, seed=1398), gnp(300, 0.05, seed=1399)]
+    for trial, g in enumerate(graphs):
+        B = _coarse_level(g, rng, trial % 3).inst.B
+        order = ascending_degree_order(B) if trial % 2 else rng.permutation(B.shape[0])
+        _assert_matches_reference(B, order)
+
+
+def _weighted_matrix(g, w):
+    """Adjacency of g with edge weights w (in ``g.edges()`` order) plus the identity."""
+    u, v = np.array([(a, b) for a, b, _ in g.edges()]).T
+    adj = sp.coo_array((np.r_[w, w], (np.r_[u, v], np.r_[v, u])), shape=(g.n, g.n))
+    B = sp.csr_array(adj + sp.eye_array(g.n))
+    B.sort_indices()
+    return B
+
+
+def test_matching_keys_that_do_not_fit_in_int64(monkeypatch):
+    """Integer weights spread too wide for one int64 key, weights from 2**53
+    on (where the key's weight difference would round), and fractional or
+    negative weights take the 3-key sort; integer weights just inside the
+    packed key do not.  Both agree with the reference."""
+    lexsorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(1) or lexsort(keys))
+    rng = np.random.default_rng(23)
+    kinds = [  # (label, weight pool, n, takes the 3-key sort)
+        # span * n * n just past 2**63: 1e15 * 110**2 is about 1.3 * 2**63
+        ("wide", [1.0, 1e15] + [float(x) for x in rng.integers(1, 10**15, 3)], 110, True),
+        ("huge", [1.0, 2.0, 3.0, 2.0**53 + 2], 24, True),
+        ("fractional", [-1.0, 0.5, 1.5, 2.25, 3.0], 40, True),
+        ("packed", [1.0, 2.0**46] + [float(x) for x in rng.integers(1, 2**46, 3)], 120, False),
+    ]
+    for trial in range(16):
+        label, pool, n, fallback = kinds[trial % 4]
+        g = gnp(n, 8 / n, seed=1500 + trial)
+        B = _weighted_matrix(g, rng.choice(pool, g.m))
+        before = len(lexsorts)
+        for order in (ascending_degree_order(B), rng.permutation(g.n)):
+            _assert_matches_reference(B, order)
+        assert (len(lexsorts) > before) == fallback, label
 
 
 # ----------------------------------------------------------------- contract
@@ -194,6 +250,34 @@ def test_contract_matches_loop_reference():
         assert np.array_equal(coarse.inst.B.toarray(), Bc)
         assert coarse.inst.c.tolist() == [float(lvl.inst.c[list(grp)].sum()) for grp in groups]
         assert coarse.inst.s.tolist() == [float(lvl.inst.s[list(grp)].sum()) for grp in groups]
+
+
+def test_contract_equals_the_aggregation_product_along_a_chain():
+    """B_c, c_c and s_c bit for bit against P^T B P, P^T c and P^T s over
+    three contractions of graphs with non-unit costs, sizes and weights."""
+    rng = np.random.default_rng(41)
+    for trial in range(6):
+        g0 = gnp(int(rng.integers(60, 200)), 0.08, seed=1600 + trial)
+        g = Graph.from_edges(
+            g0.n,
+            [(u, v, int(rng.integers(1, 6))) for u, v, _ in g0.edges()],
+            vertex_cost=rng.integers(0, 9, g0.n),
+            vertex_size=rng.integers(1, 5, g0.n),
+        )
+        lvl = finest_level(g)
+        for _ in range(3):
+            fine = lvl.inst
+            order = ascending_degree_order(fine.B) if trial % 2 else rng.permutation(fine.n)
+            lvl = contract(lvl, heavy_edge_matching(fine.B, order))
+            P = sp.csr_array((np.ones(fine.n), (np.arange(fine.n), lvl.cmap)), shape=(fine.n, lvl.inst.n))
+            ref = sp.csr_array(P.T @ fine.B @ P)
+            ref.sort_indices()
+            for field in ("indptr", "indices", "data"):
+                got, want = getattr(lvl.inst.B, field), getattr(ref, field)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
+            assert lvl.inst.c.tobytes() == (P.T @ fine.c).tobytes()
+            assert lvl.inst.s.tobytes() == (P.T @ fine.s).tobytes()
+        assert lvl.inst.n < g.n
 
 
 def test_contract_rejects_non_edge_pair():
