@@ -16,9 +16,8 @@ from itertools import compress
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
-from .graphs import Graph
+from .graphs import Graph, _ranges
 
 EPS = 1e-9
 
@@ -27,6 +26,12 @@ _DENSE_LIMIT = 128
 
 # escape probes a row max(1, _PROBE_CELLS // (live rows * n)) gamma steps ahead
 _PROBE_CELLS = 4096
+
+# from this many entries of B on, bdot keeps the products of the last _RECENT
+# vectors and patches one when at most 1/_PATCH_SHARE of B's entries are re-added
+_RECENT_NNZ = 4096
+_RECENT = 4
+_PATCH_SHARE = 4
 
 
 class DimensionMismatchError(ValueError):
@@ -53,18 +58,195 @@ class MonotonicityError(RuntimeError):
     """Internal check failed: a block update decreased the objective."""
 
 
+class CsrMatrix:
+    """A float64 matrix in compressed sparse row form.
+
+    Row i holds the entries ``data[indptr[i]:indptr[i + 1]]`` in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, which ascend without repeats;
+    the index arrays are int64.  ``B @ v`` adds each row's products
+    ``data[e] * v[indices[e]]`` in storage order, starting from 0, as
+    scipy's CSR product does, so the two give the same bits.
+    """
+
+    __slots__ = ("data", "indices", "indptr", "shape", "rows", "_symmetric", "_bins")
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]):
+        self.data, self.indices, self.indptr = data, indices, indptr
+        for a in (data, indices, indptr):
+            a.setflags(write=False)
+        self.shape = shape
+        self.rows = np.repeat(np.arange(shape[0]), np.diff(indptr))  # the row of each entry
+        self._symmetric = False  # set once a CbpInstance has checked it, or built it symmetric
+        self._bins = self.rows  # the bins of the stack product, grown on demand
+
+    @classmethod
+    def from_entries(cls, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]) -> "CsrMatrix":
+        """The matrix whose entry (i, j) is the sum of the values at (i, j):
+        one sort of the keys i * ncols + j, then a sum of each run of equal
+        keys (exact for integers while the sums stay below 2**53).
+
+        Where int64 has room, each key carries its entry's index in its low
+        bits, and sorting those values costs less than an argsort."""
+        keys = np.multiply(rows, shape[1], dtype=np.int64)
+        keys += cols
+        bits = keys.size.bit_length()
+        if (shape[0] * shape[1]).bit_length() + bits < 64:
+            keys <<= bits
+            keys |= np.arange(keys.size)
+            keys.sort()
+            order = keys & ((1 << bits) - 1)
+            keys >>= bits
+        else:
+            order = np.argsort(keys)
+            keys = keys[order]
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        data = np.add.reduceat(np.asarray(vals, dtype=np.float64)[order], starts)
+        keys = keys[starts]
+        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // max(shape[1], 1), minlength=shape[0]), out=indptr[1:])
+        return cls(data, keys % max(shape[1], 1), indptr, shape)
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense[self.rows, self.indices] = self.data
+        return dense
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """B @ v for a vector, or B @ each column of an (ncols, k) array."""
+        v = np.asarray(v, dtype=np.float64)
+        if v.ndim not in (1, 2) or v.shape[0] != self.shape[1]:
+            raise DimensionMismatchError(f"cannot multiply a {self.shape} matrix by shape {v.shape}")
+        return self._product(v.T).T
+
+    def _product(self, v: np.ndarray) -> np.ndarray:
+        """B @ v for a vector, or B @ each row of a (rows, ncols) stack, in one
+        sum whose bins each add one row's terms in storage order."""
+        terms = v.take(self.indices, axis=-1)
+        terms *= self.data
+        if v.ndim == 1:
+            return np.bincount(self.rows, terms, minlength=self.shape[0])
+        m, k = self.shape[0], len(v)
+        if self._bins.size < k * self.nnz:  # the bins of a stack of 2k rows, each row's after the last's
+            self._bins = (self.rows + m * np.arange(2 * k)[:, None]).ravel()
+        return np.bincount(self._bins[: k * self.nnz], terms.ravel(), minlength=k * m).reshape(k, m)
+
+    def _row_products(self, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """(B @ v)[rows], each row summed as ``B @ v`` sums it."""
+        counts = self.indptr[rows + 1] - self.indptr[rows]
+        at = _ranges(self.indptr[rows], counts)
+        terms = self.data[at] * v[self.indices[at]]
+        return np.bincount(np.repeat(np.arange(rows.size), counts), terms, minlength=rows.size)
+
+
+def _as_csr(B) -> CsrMatrix:
+    """B as a CsrMatrix: B itself if it is one, else from a dense array or
+    from anything with ``tocsr()`` (a scipy sparse matrix).  Repeated
+    entries add up, stored zeros stay."""
+    if isinstance(B, CsrMatrix):
+        return B
+    if hasattr(B, "tocsr"):
+        m = B.tocsr()
+        indptr = np.asarray(m.indptr, dtype=np.int64)
+        rows, cols, vals = np.repeat(np.arange(m.shape[0]), np.diff(indptr)), m.indices, m.data
+    else:
+        m = np.asarray(B, dtype=np.float64)
+        if m.ndim != 2:
+            raise DimensionMismatchError(f"B has shape {m.shape}, expected a matrix")
+        rows, cols = np.nonzero(m)
+        vals = m[rows, cols]
+    return CsrMatrix.from_entries(rows, cols, vals, tuple(int(d) for d in m.shape))
+
+
+def _check_symmetric(B: CsrMatrix) -> None:
+    """ValueError naming the first entry, in storage order, whose mirror differs."""
+    n = B.shape[0]
+    keys = B.rows * n + B.indices  # ascending
+    mirror = B.indices * n + B.rows
+    at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+    mirrored = np.where(keys[at] == mirror, B.data[at], 0.0)
+    bad = np.flatnonzero(mirrored != B.data)
+    if bad.size:
+        e = bad[0]
+        i, j = int(B.rows[e]), int(B.indices[e])
+        raise ValueError(f"B is not symmetric: B[{i}, {j}] = {B.data[e]:g} but B[{j}, {i}] = {mirrored[e]:g}")
+
+
+class _RecentProducts:
+    """B @ v for float64 vectors, patched from the product of a recent vector.
+
+    When v differs from a recent vector u only on the coordinates D, B @ v
+    differs from B @ u only on the rows next to D, which for a symmetric B
+    are the columns of B's rows D.  Those rows are summed again, each as
+    ``B @ v`` sums it, and every other row keeps u's bits: the result is
+    ``B @ v`` bit for bit, whatever the values.  v is compared with the
+    last _RECENT vectors, most recent first, and stops at an equal one;
+    else it is patched from the nearest one when the entries to re-add,
+    bounded by the two-hop entry counts of D, are at most 1/_PATCH_SHARE
+    of B's, and takes the full product otherwise.
+    """
+
+    def __init__(self, B: CsrMatrix):
+        self.B = B
+        self.vecs = np.empty((_RECENT, B.shape[0]))
+        self.prods = np.empty((_RECENT, B.shape[0]))
+        self.slots: list[int] = []  # the filled slots, most recently used first
+        lengths = np.diff(B.indptr).astype(np.float64)
+        # the entries in the rows next to each vertex: its two-hop entry count
+        self.two_hop = np.bincount(B.rows, lengths[B.indices], minlength=B.shape[0])
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        B = self.B
+        nearest = None
+        for k in self.slots:
+            differ = v != self.vecs[k]
+            count = np.count_nonzero(differ)
+            if not count:
+                self.slots.remove(k)
+                self.slots.insert(0, k)
+                return self.prods[k].copy()
+            if nearest is None or count < nearest[0]:
+                nearest = count, k, differ
+        if nearest is not None:
+            _, k, differ = nearest
+            changed = np.flatnonzero(differ)
+            if self.two_hop[changed].sum() * _PATCH_SHARE <= B.nnz:
+                out = self.prods[k].copy()
+                counts = B.indptr[changed + 1] - B.indptr[changed]
+                rows = np.unique(B.indices[_ranges(B.indptr[changed], counts)])
+                out[rows] = B._row_products(rows, v)
+                self._keep(v, out)
+                return out
+        out = B._product(v)
+        self._keep(v, out)
+        return out
+
+    def _keep(self, v: np.ndarray, prod: np.ndarray) -> None:
+        """Keep v and its product in a free slot, or in the least recently used one."""
+        k = self.slots.pop() if len(self.slots) == _RECENT else len(self.slots)
+        self.vecs[k], self.prods[k] = v, prod
+        self.slots.insert(0, k)
+
+
 @dataclass(frozen=True, eq=False)
 class CbpInstance:
     """One level's bilinear program data.
 
     Costs are integers >= 0 and sizes integers >= 1, kept as float64.  ``B``
     is symmetric with integer entries >= 1 on its diagonal and on exactly
-    the interaction (edge/aggregate) structure.  ``gamma0`` is max(c), or 1
-    when every cost is 0: the penalty must stay positive to keep x and y apart.
+    the interaction (edge/aggregate) structure; it may be given as a
+    ``CsrMatrix``, a dense array or a scipy sparse matrix, and is kept as a
+    ``CsrMatrix``.  ``gamma0`` is max(c), or 1 when every cost is 0: the
+    penalty must stay positive to keep x and y apart.
     """
 
     n: int
-    B: sp.csr_array
+    B: CsrMatrix
     c: np.ndarray
     s: np.ndarray
     la: int
@@ -74,8 +256,7 @@ class CbpInstance:
     gamma0: float = field(init=False)
 
     def __post_init__(self):
-        B = sp.csr_array(self.B)
-        B.sort_indices()
+        B = _as_csr(self.B)
         object.__setattr__(self, "B", B)
         c = np.ascontiguousarray(self.c, dtype=np.float64)
         s = np.ascontiguousarray(self.s, dtype=np.float64)
@@ -93,14 +274,18 @@ class CbpInstance:
             raise ValueError("sizes must be integers >= 1")
         if np.any(B.data < 1) or np.any(np.floor(B.data) != B.data):
             raise ValueError("B entries must be integers >= 1")
-        if self.n and np.any(B.diagonal() < 1):
+        if np.count_nonzero(B.rows == B.indices) != self.n:
             raise ValueError("B diagonal must be >= 1")
+        if not B._symmetric:
+            _check_symmetric(B)
+            B._symmetric = True
         total = float(s.sum())
         if not (0 <= self.la <= self.ua <= total and 0 <= self.lb <= self.ub <= total):
             raise ValueError(f"bad bounds la={self.la} ua={self.ua} lb={self.lb} ub={self.ub} (s total {total})")
         object.__setattr__(self, "gamma0", max(float(c.max()), 1.0) if self.n else 0.0)
         dense = B.toarray() if self.n <= _DENSE_LIMIT else None
         object.__setattr__(self, "_dense", dense)
+        object.__setattr__(self, "_recent", None)
 
     def bdot(self, v: np.ndarray) -> np.ndarray:
         """B @ v for a vector, or B @ each row of a (rows, n) stack.
@@ -109,13 +294,25 @@ class CbpInstance:
         alone.  The dense copy therefore multiplies the stack as a batch of
         matrix-vector products: one matrix-matrix product (v @ B) sums in
         another order and differs in the last bits, which changes
-        tie-breaks in the block LP.
+        tie-breaks in the block LP.  A sparse product may be patched from
+        a recent one (see ``_RecentProducts``) and has the bits of
+        ``B @ v``.
         """
-        if self._dense is None:
-            return self.B @ v if v.ndim == 1 else (self.B @ v.T).T
+        if self._dense is not None:
+            if v.ndim == 1:
+                return self._dense @ v
+            return (self._dense @ v[:, :, None])[:, :, 0]
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape[-1:] != (self.n,) or self.B.nnz < _RECENT_NNZ:
+            return (self.B @ v.T).T
+        if self._recent is None:
+            object.__setattr__(self, "_recent", _RecentProducts(self.B))
         if v.ndim == 1:
-            return self._dense @ v
-        return (self._dense @ v[:, :, None])[:, :, 0]
+            return self._recent(v)
+        out = np.empty(v.shape)
+        for r, row in enumerate(v):
+            out[r] = self._recent(row)
+        return out
 
 
 @dataclass
@@ -141,12 +338,22 @@ class Partition:
 
 
 def instance_from_graph(g: Graph, la: int, ua: int, lb: int, ub: int) -> CbpInstance:
-    """Finest-level instance: B = adjacency + identity, c and s from the graph."""
-    adj = sp.csr_array(
-        (g.weights.astype(np.float64), g.indices, g.indptr), shape=(g.n, g.n)
-    )
-    B = sp.csr_array(adj + sp.eye_array(g.n, format="csr"))
-    return CbpInstance(g.n, B, g.vertex_cost, g.vertex_size, la, ua, lb, ub)
+    """Finest-level instance: B = adjacency + identity, c and s from the graph.
+
+    ``g`` must keep Graph's invariants (``validate`` checks them): then
+    each row's diagonal entry goes in after its lower neighbours, and the
+    mirrored neighbour lists make B symmetric, which is not checked again."""
+    n, ids = g.n, np.arange(g.n)
+    rows = np.repeat(ids, np.diff(g.indptr))
+    indptr = g.indptr + np.arange(n + 1)  # one more entry per row
+    diagonal = indptr[:-1] + np.bincount(rows[g.indices < rows], minlength=n)
+    off = np.ones(indptr[-1], dtype=bool)
+    off[diagonal] = False
+    indices, data = np.empty(indptr[-1], dtype=np.int64), np.ones(indptr[-1])
+    indices[diagonal], indices[off], data[off] = ids, g.indices, g.weights
+    B = CsrMatrix(data, indices, indptr, (n, n))
+    B._symmetric = True
+    return CbpInstance(n, B, g.vertex_cost, g.vertex_size, la, ua, lb, ub)
 
 
 def _point_arrays(inst: CbpInstance, p: Point) -> tuple[np.ndarray, np.ndarray]:

@@ -18,10 +18,10 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .cbp import (
     CbpInstance,
+    CsrMatrix,
     DegenerateRepairError,
     Partition,
     Point,
@@ -108,7 +108,7 @@ class LevelTrace:
     separator_weight: int
 
 
-def ascending_degree_order(B: sp.csr_array) -> np.ndarray:
+def ascending_degree_order(B: CsrMatrix) -> np.ndarray:
     """Vertices by increasing degree, ties toward the lower index.
 
     Every row of B stores its diagonal, so row lengths are degree + 1 and
@@ -116,7 +116,7 @@ def ascending_degree_order(B: sp.csr_array) -> np.ndarray:
     return np.argsort(np.diff(B.indptr), kind="stable")
 
 
-def heavy_edge_matching(B: sp.csr_array, order: np.ndarray) -> np.ndarray:
+def heavy_edge_matching(B: CsrMatrix, order: np.ndarray) -> np.ndarray:
     """Visit vertices in the given order, pairing each unmatched vertex with
     its unmatched neighbor of maximum positive weight in B's off-diagonal
     (ties toward the lower index); ``mate[u]`` is u's partner, or u itself.
@@ -127,9 +127,8 @@ def heavy_edge_matching(B: sp.csr_array, order: np.ndarray) -> np.ndarray:
     n = B.shape[0]
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    rows = np.repeat(np.arange(n), np.diff(B.indptr))
-    keep = (rank[rows] < rank[B.indices]) & (B.data > 0)
-    rows, cols, w = rows[keep], B.indices[keep].astype(np.int64), B.data[keep]
+    keep = (rank[B.rows] < rank[B.indices]) & (B.data > 0)
+    rows, cols, w = B.rows[keep], B.indices[keep], B.data[keep]
     top = w.max(initial=0)
     # one exact int64 key when integer weights (below 2**53) leave room, else a 3-key sort
     span = int(top - w.min(initial=top)) + 1 if np.all(w == np.floor(w)) and top < 2**53 else 2**63
@@ -162,18 +161,21 @@ def contract(level: Level, mate: np.ndarray) -> Level:
     in_range = mate.shape == (n,) and np.all((mate >= 0) & (mate < n))
     if not (in_range and np.array_equal(mate[mate], ids)):
         raise ValueError("mate is not an involution on the vertex set")
-    u = np.flatnonzero(ids < mate)
-    if u.size and np.any(B[u, mate[u]] == 0):
+    # every row stores its diagonal, so a single's own entry is always there
+    paired = np.zeros(n, dtype=bool)
+    paired[B.rows[B.indices == mate[B.rows]]] = True
+    if not paired.all():
         raise ValueError("a matched pair is not an edge")
 
     leader = np.minimum(ids, mate)
     is_leader = leader == ids
     cmap = (np.cumsum(is_leader) - 1)[leader]
     nc = int(is_leader.sum())
-    # B_c = P^T B P as one COO sum: duplicates add, exactly for integers below 2**53
-    Bc = sp.coo_array((B.data, (np.repeat(cmap, np.diff(B.indptr)), cmap[B.indices])), shape=(nc, nc))
+    # B_c = P^T B P as one sum of entries: exact for integers below 2**53, symmetric as B is
+    Bc = CsrMatrix.from_entries(cmap[B.rows], cmap[B.indices], B.data, (nc, nc))
+    Bc._symmetric = True
     c, s = (np.bincount(cmap, v, nc) for v in (fine.c, fine.s))
-    return Level(CbpInstance(nc, Bc.tocsr(), c, s, fine.la, fine.ua, fine.lb, fine.ub), cmap)
+    return Level(CbpInstance(nc, Bc, c, s, fine.la, fine.ua, fine.lb, fine.ub), cmap)
 
 
 def prolong(coarse: Level, p: Point) -> Point:

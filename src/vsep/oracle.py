@@ -36,7 +36,7 @@ def brute_force_vsp(inst: CbpInstance) -> Partition | None:
     la, ua, lb, ub = inst.la, inst.ua, inst.lb, inst.ub
     cost = inst.c.astype(np.int64)
     size = inst.s.astype(np.int64)
-    rows = np.repeat(np.arange(n), np.diff(inst.B.indptr))
+    rows = inst.B.rows
     upper = rows < inst.B.indices
     edges = list(zip(rows[upper].tolist(), inst.B.indices[upper].tolist()))  # u < v
 

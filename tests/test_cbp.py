@@ -8,6 +8,7 @@ from conftest import (
     default_instance,
     empty_graph,
     gnp,
+    grid_graph,
     path_graph,
     random_fractional_point,
 )
@@ -35,7 +36,7 @@ from vsep.cbp import (
     _finish_single,
 )
 from vsep.graphs import Graph
-from vsep.multilevel import SolveParams, build_hierarchy
+from vsep.multilevel import Level, SolveParams, ascending_degree_order, build_hierarchy, contract, heavy_edge_matching
 from vsep.oracle import brute_force_lp, brute_force_vsp
 
 EPS = 1e-9
@@ -92,6 +93,9 @@ def test_instance_rejects_mismatched_dimensions():
         {"c": np.array([1.0, 1.5, 1]), "match": "costs"},  # non-integer cost
         {"s": np.array([1.0, 2.5, 1]), "match": "sizes"},  # non-integer size
         {"B": sp.csr_array(np.array([[1.0, 1.5, 0], [1.5, 1, 1], [0, 1, 1]])), "match": "B entries"},
+        # asymmetric: an unequal mirror, and a missing one
+        {"B": np.array([[1.0, 1, 0], [2, 1, 1], [0, 1, 1]]), "match": r"B\[0, 1\] = 1 but B\[1, 0\] = 2"},
+        {"B": sp.csr_array(np.array([[1.0, 1, 0], [1, 1, 1], [0, 0, 1]])), "match": r"B\[1, 2\] = 1 but B\[2, 1\] = 0"},
     ],
 )
 def test_instance_rejects_bad_data(change):
@@ -659,6 +663,57 @@ def test_escape_counts_its_probe_and_re_refine_rows(monkeypatch):
         _escape_loop(inst, q, 10, events)
     escapes = sum(_escape_loop(inst, Point(*q), 10)[1] for q in zip(starts.x, starts.y))
     assert walked["probes"] == len(events) and walked["escapes"] == first["escapes"] == escapes
+
+
+def _scipy_product(B, v):
+    """scipy's CSR product with B's arrays: the reference for bdot and B @ v."""
+    ref = sp.csr_array((B.data, B.indices, B.indptr), shape=B.shape)
+    return ref @ v if v.ndim == 1 else (ref @ v.T).T
+
+
+def test_sparse_products_equal_scipy_bit_for_bit(monkeypatch):
+    """inst.B @ v, and inst.bdot(v) above the dense limit, give the bytes of
+    scipy's CSR product for single rows and stacks of 0/1 vectors, vectors
+    with one fractional coordinate and prolonged blocks of equal fractions,
+    on unit and on non-unit integer weights, below and above the dense
+    limit; the chains of calls that change a few coordinates at a time run
+    the patched products."""
+    patched = []
+    row_products = cbp.CsrMatrix._row_products
+    monkeypatch.setattr(cbp.CsrMatrix, "_row_products", lambda B, rows, v: patched.append(rows.size) or row_products(B, rows, v))
+    rng = np.random.default_rng(67)
+    for rows, cols in ((8, 12), (12, 20), (50, 50)):  # n = 96, 240 and 2500; _DENSE_LIMIT is 128
+        base = grid_graph(rows, cols)
+        g = Graph.from_edges(base.n, [(u, v, int(rng.integers(1, 6))) for u, v, _ in base.edges()])
+        fine = instance_from_graph(base, 0, base.n, 0, base.n)
+        weighted = instance_from_graph(g, 0, g.n, 0, g.n)
+        mate = heavy_edge_matching(weighted.B, ascending_degree_order(weighted.B))
+        coarse = contract(Level(weighted, None), mate)
+        for inst in (fine, weighted, coarse.inst):
+            n = inst.n
+            binary = (rng.random(n) < 0.5).astype(np.float64)
+            single = binary.copy()
+            single[rng.integers(n)] = 1 / 3
+            # a prolonged coarse point: equal fractions on every member of some aggregates
+            vc = (rng.random(coarse.inst.n) < 0.5).astype(np.float64)
+            vc[rng.integers(coarse.inst.n, size=3)] = 0.7
+            vectors = [binary, single, vc[coarse.cmap] if n == g.n else vc]
+            chain = vectors[-1].copy()
+            for _ in range(8):  # a few coordinates change per call
+                chain = chain.copy()
+                chain[rng.integers(n, size=3)] = rng.choice([0.0, 1.0, 0.25])
+                vectors.append(chain)
+            for v in vectors:
+                want = _scipy_product(inst.B, v).tobytes()
+                assert (inst.B @ v).tobytes() == want
+                if n > cbp._DENSE_LIMIT:
+                    assert inst.bdot(v).tobytes() == want
+            V = np.stack(vectors)
+            want = _scipy_product(inst.B, V)
+            assert (inst.B @ V.T).tobytes() == (want.T).tobytes()
+            if n > cbp._DENSE_LIMIT:
+                assert inst.bdot(V).tobytes() == want.tobytes()
+    assert patched  # the product was patched from a recent one
 
 
 def test_bdot_stack_rows_equal_vector_products():
