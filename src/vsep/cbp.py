@@ -11,6 +11,7 @@ the rest.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import Sequence
@@ -28,7 +29,8 @@ _DENSE_LIMIT = 128
 _PROBE_CELLS = 4096
 
 # from this many entries of B on, bdot keeps the products of the last _RECENT
-# vectors and patches one when at most 1/_PATCH_SHARE of B's entries are re-added
+# vectors and patches one when at most 1/_PATCH_SHARE of B's entries are re-added;
+# below it the plain product costs less than the bookkeeping
 _RECENT_NNZ = 4096
 _RECENT = 4
 _PATCH_SHARE = 4
@@ -66,18 +68,45 @@ class CsrMatrix:
     the index arrays are int64.  ``B @ v`` adds each row's products
     ``data[e] * v[indices[e]]`` in storage order, starting from 0, as
     scipy's CSR product does, so the two give the same bits.
+
+    The constructor keeps read-only copies of the arrays and checks that
+    form in O(nnz); ``from_entries`` builds it from unordered entries.
     """
 
-    __slots__ = ("data", "indices", "indptr", "shape", "rows", "_symmetric", "_bins")
+    __slots__ = ("data", "indices", "indptr", "shape", "rows", "_symmetric")
 
     def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]):
+        data = np.array(data, dtype=np.float64)
+        indices = np.array(indices, dtype=np.int64)
+        indptr = np.array(indptr, dtype=np.int64)
+        shape = (int(shape[0]), int(shape[1]))
+        if indptr.shape != (shape[0] + 1,) or indptr[0] != 0 or np.any(np.diff(indptr) < 0):
+            raise ValueError(f"indptr must rise from 0 in {shape[0] + 1} steps")
+        if data.shape != (indptr[-1],) or indices.shape != (indptr[-1],):
+            raise ValueError(f"data and indices must hold indptr[-1] = {indptr[-1]} entries")
+        if indices.size and (indices.min() < 0 or indices.max() >= shape[1]):
+            raise ValueError(f"column indices must lie in [0, {shape[1]})")
+        self._own(data, indices, indptr, shape, symmetric=False)
+        keys = self.rows * shape[1] + indices
+        if np.any(keys[1:] <= keys[:-1]):
+            e = int(np.flatnonzero(keys[1:] <= keys[:-1])[0]) + 1
+            raise ValueError(f"the columns of row {self.rows[e]} must ascend without repeats")
+
+    def _own(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int], symmetric: bool) -> None:
+        """Take arrays already in the canonical form, unchecked and uncopied."""
         self.data, self.indices, self.indptr = data, indices, indptr
         for a in (data, indices, indptr):
             a.setflags(write=False)
         self.shape = shape
         self.rows = np.repeat(np.arange(shape[0]), np.diff(indptr))  # the row of each entry
-        self._symmetric = False  # set once a CbpInstance has checked it, or built it symmetric
-        self._bins = self.rows  # the bins of the stack product, grown on demand
+        self._symmetric = symmetric  # set once a CbpInstance has checked it, or when built symmetric
+
+    @classmethod
+    def _built(cls, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int], symmetric: bool = False) -> "CsrMatrix":
+        """A matrix over arrays that this module built in canonical form."""
+        B = cls.__new__(cls)
+        B._own(data, indices, indptr, shape, symmetric)
+        return B
 
     @classmethod
     def from_entries(cls, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]) -> "CsrMatrix":
@@ -106,7 +135,15 @@ class CsrMatrix:
         keys = keys[starts]
         indptr = np.zeros(shape[0] + 1, dtype=np.int64)
         np.cumsum(np.bincount(keys // max(shape[1], 1), minlength=shape[0]), out=indptr[1:])
-        return cls(data, keys % max(shape[1], 1), indptr, shape)
+        return cls._built(data, keys % max(shape[1], 1), indptr, shape)
+
+    def contracted(self, cmap: np.ndarray, nc: int) -> "CsrMatrix":
+        """P^T B P for the 0/1 aggregation matrix P with P[i, cmap[i]] = 1:
+        one sum of entries, exact for integers below 2**53, and symmetric
+        when B is."""
+        C = CsrMatrix.from_entries(cmap[self.rows], cmap[self.indices], self.data, (nc, nc))
+        C._symmetric = self._symmetric
+        return C
 
     @property
     def nnz(self) -> int:
@@ -132,9 +169,8 @@ class CsrMatrix:
         if v.ndim == 1:
             return np.bincount(self.rows, terms, minlength=self.shape[0])
         m, k = self.shape[0], len(v)
-        if self._bins.size < k * self.nnz:  # the bins of a stack of 2k rows, each row's after the last's
-            self._bins = (self.rows + m * np.arange(2 * k)[:, None]).ravel()
-        return np.bincount(self._bins[: k * self.nnz], terms.ravel(), minlength=k * m).reshape(k, m)
+        bins = (self.rows + m * np.arange(k)[:, None]).ravel()  # each stack row's bins after the last's
+        return np.bincount(bins, terms.ravel(), minlength=k * m).reshape(k, m)
 
     def _row_products(self, rows: np.ndarray, v: np.ndarray) -> np.ndarray:
         """(B @ v)[rows], each row summed as ``B @ v`` sums it."""
@@ -145,9 +181,9 @@ class CsrMatrix:
 
 
 def _as_csr(B) -> CsrMatrix:
-    """B as a CsrMatrix: B itself if it is one, else from a dense array or
-    from anything with ``tocsr()`` (a scipy sparse matrix).  Repeated
-    entries add up, stored zeros stay."""
+    """B as a CsrMatrix: B itself if it is one (its constructor checked its
+    form), else from a dense array or from anything with ``tocsr()`` (a
+    scipy sparse matrix).  Repeated entries add up, stored zeros stay."""
     if isinstance(B, CsrMatrix):
         return B
     if hasattr(B, "tocsr"):
@@ -189,10 +225,14 @@ class _RecentProducts:
     else it is patched from the nearest one when the entries to re-add,
     bounded by the two-hop entry counts of D, are at most 1/_PATCH_SHARE
     of B's, and takes the full product otherwise.
+
+    A lock serialises the calls, so threads sharing an instance never see
+    a vector kept without its product.
     """
 
     def __init__(self, B: CsrMatrix):
         self.B = B
+        self.lock = threading.Lock()
         self.vecs = np.empty((_RECENT, B.shape[0]))
         self.prods = np.empty((_RECENT, B.shape[0]))
         self.slots: list[int] = []  # the filled slots, most recently used first
@@ -201,6 +241,10 @@ class _RecentProducts:
         self.two_hop = np.bincount(B.rows, lengths[B.indices], minlength=B.shape[0])
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
+        with self.lock:
+            return self._recent_or_product(v)
+
+    def _recent_or_product(self, v: np.ndarray) -> np.ndarray:
         B = self.B
         nearest = None
         for k in self.slots:
@@ -285,7 +329,8 @@ class CbpInstance:
         object.__setattr__(self, "gamma0", max(float(c.max()), 1.0) if self.n else 0.0)
         dense = B.toarray() if self.n <= _DENSE_LIMIT else None
         object.__setattr__(self, "_dense", dense)
-        object.__setattr__(self, "_recent", None)
+        recent = _RecentProducts(B) if dense is None and B.nnz >= _RECENT_NNZ else None
+        object.__setattr__(self, "_recent", recent)
 
     def bdot(self, v: np.ndarray) -> np.ndarray:
         """B @ v for a vector, or B @ each row of a (rows, n) stack.
@@ -303,10 +348,8 @@ class CbpInstance:
                 return self._dense @ v
             return (self._dense @ v[:, :, None])[:, :, 0]
         v = np.asarray(v, dtype=np.float64)
-        if v.shape[-1:] != (self.n,) or self.B.nnz < _RECENT_NNZ:
+        if v.shape[-1:] != (self.n,) or self._recent is None:
             return (self.B @ v.T).T
-        if self._recent is None:
-            object.__setattr__(self, "_recent", _RecentProducts(self.B))
         if v.ndim == 1:
             return self._recent(v)
         out = np.empty(v.shape)
@@ -351,8 +394,7 @@ def instance_from_graph(g: Graph, la: int, ua: int, lb: int, ub: int) -> CbpInst
     off[diagonal] = False
     indices, data = np.empty(indptr[-1], dtype=np.int64), np.ones(indptr[-1])
     indices[diagonal], indices[off], data[off] = ids, g.indices, g.weights
-    B = CsrMatrix(data, indices, indptr, (n, n))
-    B._symmetric = True
+    B = CsrMatrix._built(data, indices, indptr, (n, n), symmetric=True)
     return CbpInstance(n, B, g.vertex_cost, g.vertex_size, la, ua, lb, ub)
 
 

@@ -171,9 +171,7 @@ def contract(level: Level, mate: np.ndarray) -> Level:
     is_leader = leader == ids
     cmap = (np.cumsum(is_leader) - 1)[leader]
     nc = int(is_leader.sum())
-    # B_c = P^T B P as one sum of entries: exact for integers below 2**53, symmetric as B is
-    Bc = CsrMatrix.from_entries(cmap[B.rows], cmap[B.indices], B.data, (nc, nc))
-    Bc._symmetric = True
+    Bc = B.contracted(cmap, nc)  # P^T B P
     c, s = (np.bincount(cmap, v, nc) for v in (fine.c, fine.s))
     return Level(CbpInstance(nc, Bc, c, s, fine.la, fine.ua, fine.lb, fine.ub), cmap)
 

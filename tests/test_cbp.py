@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -96,13 +98,28 @@ def test_instance_rejects_mismatched_dimensions():
         # asymmetric: an unequal mirror, and a missing one
         {"B": np.array([[1.0, 1, 0], [2, 1, 1], [0, 1, 1]]), "match": r"B\[0, 1\] = 1 but B\[1, 0\] = 2"},
         {"B": sp.csr_array(np.array([[1.0, 1, 0], [1, 1, 1], [0, 0, 1]])), "match": r"B\[1, 2\] = 1 but B\[2, 1\] = 0"},
+        # a CsrMatrix out of canonical form: P3's B with row 0's columns unsorted,
+        # row 0's diagonal stored twice, a column out of range, a falling indptr
+        {"B": lambda: cbp.CsrMatrix(np.ones(7), [1, 0, 0, 1, 2, 1, 2], [0, 2, 5, 7], (3, 3)), "match": "row 0 must ascend"},
+        {"B": lambda: cbp.CsrMatrix([0.5, 0.5, 1, 1, 1, 1, 1, 1], [0, 0, 1, 0, 1, 2, 1, 2], [0, 3, 6, 8], (3, 3)), "match": "row 0 must ascend"},
+        {"B": lambda: cbp.CsrMatrix(np.ones(7), [0, 1, 0, 1, 2, 1, 3], [0, 2, 5, 7], (3, 3)), "match": "column indices"},
+        {"B": lambda: cbp.CsrMatrix(np.ones(7), [0, 1, 0, 1, 2, 1, 2], [0, 5, 2, 7], (3, 3)), "match": "indptr"},
     ],
 )
 def test_instance_rejects_bad_data(change):
     n, B, c, s = _p3_data()
     B, c, s = change.get("B", B), change.get("c", c), change.get("s", s)
     with pytest.raises(ValueError, match=change.get("match")):
-        CbpInstance(n, B, c, s, *change.get("bounds", (1, 1, 1, 1)))
+        CbpInstance(n, B() if callable(B) else B, c, s, *change.get("bounds", (1, 1, 1, 1)))
+
+
+def test_instance_takes_a_csr_matrix_as_its_own_copy():
+    n, _, c, s = _p3_data()
+    data, indices, indptr = np.ones(7), np.array([0, 1, 0, 1, 2, 1, 2]), np.array([0, 2, 5, 7])
+    inst = CbpInstance(n, cbp.CsrMatrix(data, indices, indptr, (n, n)), c, s, 1, 1, 1, 1)
+    assert np.array_equal(inst.B.toarray(), _p3_data()[1].toarray())
+    data[0] = 5.0  # the caller's arrays stay writable and apart from B
+    assert inst.B.data[0] == 1.0 and not inst.B.data.flags.writeable
 
 
 # ------------------------------------------------------------------ objective
@@ -714,6 +731,47 @@ def test_sparse_products_equal_scipy_bit_for_bit(monkeypatch):
             if n > cbp._DENSE_LIMIT:
                 assert inst.bdot(V).tobytes() == want.tobytes()
     assert patched  # the product was patched from a recent one
+
+
+def test_threads_sharing_an_instance_get_exact_products():
+    """Threads calling bdot on one instance at once, with vectors a few
+    coordinates apart so that each may patch another's recent product, get
+    B @ v bit for bit."""
+    rng = np.random.default_rng(73)
+    inst = instance_from_graph(grid_graph(40, 40), 0, 1600, 0, 1600)
+    assert inst._recent is not None  # the products are shared
+    base = (rng.random(inst.n) < 0.5).astype(np.float64)
+    chains = []
+    for _ in range(4):
+        v, chain = base, []
+        for _ in range(40):
+            v = v.copy()
+            v[rng.integers(inst.n, size=3)] = rng.choice([0.0, 1.0, 0.25])
+            chain.append(v)
+        chains.append(chain)
+    wanted = [[(inst.B @ v).tobytes() for v in chain] for chain in chains]
+    start, wrong = threading.Barrier(len(chains)), []
+
+    def run(chain, want):
+        start.wait()
+        try:
+            for _ in range(5):
+                wrong.extend(i for i, v in enumerate(chain) if inst.bdot(v).tobytes() != want[i])
+                wrong.extend(i for i, w in enumerate(inst.bdot(np.stack(chain[:6]))) if w.tobytes() != want[i])
+        except Exception as e:  # a broken slot list raises here
+            wrong.append(e)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        threads = [threading.Thread(target=run, args=pair) for pair in zip(chains, wanted)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong
 
 
 def test_bdot_stack_rows_equal_vector_products():
