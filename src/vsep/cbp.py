@@ -808,11 +808,15 @@ def escape(
     Until a row accepts, every probe starts from its current point, so a
     round refines each live row's next w steps as one stack, w =
     max(1, _PROBE_CELLS // (live rows * n)) or the steps left, and takes
-    the first winning step; the results after it are dropped.  Rows with
-    the same point and k walk as one row, which counts an escape for each
-    row it stands for, and the others copy its result; states can only
-    meet at the start or among rows that accept in the same round, so
-    only those are compared.  Within a round each distinct probe point is
+    the first winning step; the results after it are dropped.  Each
+    point that a row sits at, walking or finished, has one holder: a row
+    that starts at or accepts a held point joins its holder whatever the
+    holder's k, copies its result and stops, and the holder counts an
+    escape for each row it stands for.  A row that accepts leaves its
+    point's holder; a finished holder stays.  This is exact: the holder
+    has lost steps 1..k-1 from the point, and the newcomer, with the same
+    point and objective bits, would lose them too and then walk as the
+    holder does.  Within a round each distinct probe point is
     re-refined once, and the call remembers the objective at gamma0 of
     every point it re-refined: a known point that cannot beat its rows'
     objectives is not re-refined again.  This rests on ``refine`` and
@@ -829,16 +833,14 @@ def escape(
     alias = np.arange(rows)  # the row whose result each row copies
     weight = np.ones(rows, dtype=np.int64)  # the rows each walking row stands for
     known: dict[bytes, float] = {}  # objective at gamma0 of each re-refined probe point
+    holder: dict[bytes, int] = {}  # the row at each point, walking or finished
     while True:
-        fresh = np.flatnonzero(k == 1)  # at the start, or this round's accepts
-        if fresh.size > 1:
-            kept: dict[bytes, int] = {}
-            for r in fresh.tolist():
-                keep = kept.setdefault(x[r].tobytes() + y[r].tobytes(), r)
-                if keep != r:
-                    alias[alias == r] = keep
-                    weight[keep] += weight[r]
-                    k[r] = K + 1
+        for r in np.flatnonzero(k == 1).tolist():  # at the start, or this round's accepts
+            keep = holder.setdefault(x[r].tobytes() + y[r].tobytes(), r)
+            if keep != r:
+                alias[alias == r] = keep
+                weight[keep] += weight[r]
+                k[r] = K + 1
         live = np.flatnonzero(k <= K)
         if not live.size:
             break
@@ -864,6 +866,8 @@ def escape(
         better = f_slot[slot] > bar
         won, first = np.unique(src[better], return_index=True)  # each row's first win
         if won.size:
+            for r in won.tolist():
+                del holder[x[r].tobytes() + y[r].tobytes()]
             b = slot[better][first]
             back_row = np.cumsum(redo)[b] - 1
             x[won], y[won], f_curr[won] = back.x[back_row], back.y[back_row], f_slot[b]

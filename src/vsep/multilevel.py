@@ -278,7 +278,10 @@ def solve_coarsest(
     escaped together, as one (multistarts, n) stack in which every row gets
     the result it would get alone; then each is rounded, and the best
     objective at gamma0 wins (first start on ties; a start whose rounding
-    fails is skipped).  ``stats["escapes"]`` sums the escapes of all
+    fails is skipped).  Equal escaped rows are rounded once: a later twin
+    would round to the same point and objective, which cannot beat the
+    best so far by more than EPS, or fail as the first did, so skipping it
+    cannot change the winner.  ``stats["escapes"]`` sums the escapes of all
     starts.  For n <= 12 the exhaustive oracle ``brute_force_vsp(inst)``
     backstops the multistarts and its solution is used when strictly
     better.  Raises InfeasibleError when no binary point can satisfy the
@@ -297,7 +300,12 @@ def solve_coarsest(
 
     best: Point | None = None
     best_f = -math.inf
+    rounded: set[bytes] = set()
     for x, y in zip(p.x, p.y):
+        key = x.tobytes() + y.tobytes()
+        if key in rounded:
+            continue
+        rounded.add(key)
         try:
             q = round_to_binary(inst, Point(x, y))
         except DegenerateRepairError:

@@ -1271,6 +1271,18 @@ _KNOWN_WINS_LOWER = {  # A re-refines to D: no gain for C (2), a win for B (1)
     ("B", 2): "B", ("B", 1): "A", ("B", 3): "B",
     ("D", 2): "D", ("D", 1): "D", ("D", 0): "D", ("D", 3): "D",
 }
+_HOLDER_LOSES_TWICE = {  # B loses two steps at home, A reaches B, then B's last step wins C
+    ("B", 2): "B", ("B", 1): "B", ("B", 0): "C", ("B", 3): "B", ("A", 2): "A", ("A", 1): "D",
+    ("A", 3): "A", ("D", 3): "B", ("C", 2): "C", ("C", 1): "C", ("C", 0): "C", ("C", 3): "C",
+}
+_HOLDER_FINISHED = {  # C walks out at home; A's last step reaches C
+    ("C", 2): "C", ("C", 1): "C", ("C", 0): "C", ("C", 3): "C",
+    ("A", 2): "A", ("A", 1): "A", ("A", 0): "D", ("A", 3): "A", ("D", 3): "C",
+}
+_HOLDER_LEFT = {  # B wins C at once; A then reaches B, which B has left
+    ("B", 2): "D", ("B", 3): "B", ("D", 3): "C", ("A", 2): "A", ("A", 1): "B", ("A", 3): "A",
+    ("C", 2): "C", ("C", 1): "C", ("C", 0): "C", ("C", 3): "C",
+}
 
 # (starts, script, probe budget, log of refined rows: names at gamma0, ("probe", name) for probes)
 _MERGE_AND_MEMO_RUNS = [
@@ -1292,6 +1304,23 @@ _MERGE_AND_MEMO_RUNS = [
     (["C", "B"], _KNOWN_WINS_LOWER, 1, [
         ("probe", "C"), ("probe", "B"), "A", "B", ("probe", "C"), ("probe", "B"), "C", "A",
         ("probe", "C"), ("probe", "D"), "D", ("probe", "D"), ("probe", "D"),
+    ]),
+    # row A accepts B, where row B has lost two steps: A joins B, probes
+    # nothing from B, and counts B's last-step escape as its own
+    (["B", "A"], _HOLDER_LOSES_TWICE, 1, [
+        ("probe", "B"), ("probe", "A"), "B", "A", ("probe", "B"), ("probe", "A"), "D",
+        ("probe", "B"), "C", *[("probe", "C")] * 3,
+    ]),
+    # row A accepts C after row C has lost every step there: A stops at once
+    (["C", "A"], _HOLDER_FINISHED, 1, [
+        ("probe", "C"), ("probe", "A"), "C", "A", ("probe", "C"), ("probe", "A"),
+        ("probe", "C"), ("probe", "A"), "D",
+    ]),
+    # row B leaves B for C before row A arrives at B: A walks B itself, then
+    # joins B at C, where B has lost one step
+    (["B", "A"], _HOLDER_LEFT, 1, [
+        ("probe", "B"), ("probe", "A"), "D", "A", ("probe", "C"), ("probe", "A"), "C", "B",
+        ("probe", "C"), ("probe", "B"), "D", ("probe", "C"),
     ]),
 ]
 

@@ -521,6 +521,55 @@ def test_solve_coarsest_matches_start_loop():
         assert stats.get("escapes", 0) == ref_stats.get("escapes", 0)
 
 
+def _spy_coarsest(monkeypatch):
+    """Record the rows escape hands solve_coarsest and every row it rounds,
+    with whether the rounding raised DegenerateRepairError."""
+    escaped, rounded = [], []
+
+    def spy_escape(inst, p, **kwargs):
+        out = escape(inst, p, **kwargs)
+        escaped.extend(x.tobytes() + y.tobytes() for x, y in zip(out.x, out.y))
+        return out
+
+    def spy_round(inst, p):
+        try:
+            q = round_to_binary(inst, p)
+        except DegenerateRepairError:
+            rounded.append((p.x.tobytes() + p.y.tobytes(), True))
+            raise
+        rounded.append((p.x.tobytes() + p.y.tobytes(), False))
+        return q
+
+    monkeypatch.setattr("vsep.multilevel.escape", spy_escape)
+    monkeypatch.setattr("vsep.multilevel.round_to_binary", spy_round)
+    return escaped, rounded
+
+
+def test_solve_coarsest_rounds_each_distinct_start_once(monkeypatch):
+    # an equal later row would round to the same point and objective, which
+    # cannot beat the best so far, or fail as its twin did, so only the first
+    # of equal rows is rounded; on the last two instances every row fails
+    # and the search still ends in the same InfeasibleError
+    for g, lb in (
+        (grid_graph(10, 10), 40), (gnp(40, 0.5, seed=3), 1), (grid_graph(10, 10), 44), (grid_graph(12, 12), 57),
+    ):
+        params = SolveParams(la=lb, lb=lb, coarsest_size=30, multistarts=8)
+        inst = build_hierarchy(g, params).levels[-1].inst
+        assert inst.n > 16  # neither the exhaustive backstop nor the oracle answers
+        ref = _multistart_loop(inst, params, {})
+        with monkeypatch.context() as patch:
+            escaped, rounded = _spy_coarsest(patch)
+            if ref is None:
+                with pytest.raises(InfeasibleError, match="^no start reached a binary orthogonal point$"):
+                    solve_coarsest(inst, params)
+            else:
+                p = solve_coarsest(inst, params)
+                assert p.x.tobytes() == ref.x.tobytes() and p.y.tobytes() == ref.y.tobytes()
+        distinct = list(dict.fromkeys(escaped))
+        assert len(distinct) < len(escaped) == params.multistarts  # the stack repeats rows
+        assert rounded == [(row, ref is None) for row in distinct]
+
+
 # -------------------------------------------------------------------- solve
 
 
