@@ -496,34 +496,34 @@ def solve_block_lp(g: Sequence[float], s: Sequence[float], l: int, u: int) -> np
 
     G = g if g.ndim == 2 else g[None]
     pos = G > 0
-    size = np.dot(pos, s).tolist()  # P of each row, summed in index order
-    hard = [i for i, p in enumerate(size) if not l <= p <= u]
+    P = np.dot(pos, s)  # summed in index order
+    hard = np.flatnonzero((P < l) | (P > u))
     v = pos.astype(np.float64)  # the rows within the bounds are done
-    if len(hard) > 1:
-        v[hard] = _sorted_fill(G[hard], pos[hard], s, l, u)
-    elif hard:
-        i = hard[0]
-        _far_fill(v[i], G[i], pos[i], s, size[i], l, u)
+    if hard.size > 1:
+        v[hard] = _sorted_fill(G[hard], P[hard], s, l, u)
+    elif hard.size:
+        i = int(hard[0])
+        _far_fill(v[i], G[i], pos[i], s, float(P[i]), l, u)
     return v if g.ndim == 2 else v[0]
 
 
-def _sorted_fill(G: np.ndarray, pos: np.ndarray, s: np.ndarray, l: int, u: int) -> np.ndarray:
-    """The greedy fill of every row of G from a full sort; ``pos`` is G > 0."""
+def _sorted_fill(G: np.ndarray, P: np.ndarray, s: np.ndarray, l: int, u: int) -> np.ndarray:
+    """The greedy fill of every row of G to clip(P, l, u) from a full sort of
+    the row, where P holds each row's size of positive items."""
     rows, n = G.shape
     order = np.argsort(G / -s, axis=1, kind="stable")  # ratio descending, ties by index
     cums = np.zeros((rows, n + 1))  # cums[:, t]: size of the first t items; rises strictly
     np.cumsum(s[order], axis=1, out=cums[:, 1:])
+    fill = np.minimum(np.maximum(P, l), u)
+    ones = cums[:, 1:] <= fill[:, None]  # a prefix of each row's order: the items that fit whole
     r = np.arange(rows)
-    fill = np.minimum(np.maximum(cums[r, pos.sum(axis=1)], l), u)
-    full = (cums[:, 1:] <= fill[:, None]).sum(axis=1)  # items that fit whole
-    rest = fill - cums[r, full]  # the size left for the next item
-
-    # one prefix write per row costs less than a scatter of every item
     v = np.zeros((rows, n))
-    for row, o, f, left in zip(v, order, full.tolist(), rest.tolist()):
-        row[o[:f]] = 1.0
-        if left:  # with integer sizes, a fill that takes every item leaves no rest
-            row[o[f]] = left / s[o[f]]
+    v[r[:, None], order] = ones
+    full = ones.sum(axis=1)
+    rest = fill - cums[r, full]  # the size left for the next item
+    part = np.flatnonzero(rest)  # with integer sizes, a fill that takes every item leaves no rest
+    item = order[part, full[part]]
+    v[part, item] = rest[part] / s[item]
     return v
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -26,6 +27,14 @@ class Graph:
     ``vertex_cost`` is the per-vertex cost a separator pays; ``vertex_size``
     is the cardinality weight counted by the balance constraints (all ones
     for graphs loaded from disk, >= 1 for coarsened graphs).
+
+    The constructor stores read-only int64 copies of the arrays it is given
+    and checks nothing: ``validate`` reports what is wrong, and ``solve``
+    runs it.  ``from_edges``, ``load_metis`` and ``load_matrix_market``
+    reject every fault ``validate`` looks for, and build through
+    ``_built``, which takes their fresh arrays uncopied and marks the graph
+    as checked.  The mark belongs to that one object: ``dataclasses.replace``,
+    ``copy`` and pickling give an unmarked graph.
     """
 
     n: int
@@ -37,9 +46,26 @@ class Graph:
 
     def __post_init__(self):
         for name in ("indptr", "indices", "weights", "vertex_cost", "vertex_size"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
+            arr = np.array(getattr(self, name), dtype=np.int64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _built(cls, n, indptr, indices, weights, vertex_cost, vertex_size) -> "Graph":
+        """A checked graph over int64 arrays that this module built, uncopied;
+        they must satisfy every invariant ``validate`` checks."""
+        arrays = dict(indptr=indptr, indices=indices, weights=weights, vertex_cost=vertex_cost, vertex_size=vertex_size)
+        for arr in arrays.values():
+            arr.setflags(write=False)
+        g = cls.__new__(cls)
+        g.__dict__.update(n=n, **arrays)  # frozen: bypass __setattr__, as __init__ does
+        _CHECKED[id(g)] = g
+        return g
+
+    @property
+    def _checked(self) -> bool:
+        """Whether ``_built`` made this graph, so that ``validate`` would find nothing."""
+        return _CHECKED.get(id(self)) is self
 
     @property
     def m(self) -> int:
@@ -117,13 +143,20 @@ class Graph:
             raise ValueError("vertex costs must be >= 0")
         if np.any(size < 1):
             raise ValueError("vertex sizes must be >= 1")
-        return cls(n, indptr, cols[order], np.concatenate((w, w))[order], cost, size)
+        return cls._built(n, indptr, cols[order], np.concatenate((w, w))[order], cost, size)
+
+
+# The graphs ``Graph._built`` made, by id: Graph compares by value and so
+# cannot be hashed into a WeakSet, and a mark stored on the graph itself
+# would be copied along with it.
+_CHECKED = weakref.WeakValueDictionary()
 
 
 def _int_array(values: Iterable[int]) -> np.ndarray:
+    """``values`` as a new int64 array."""
     if not isinstance(values, np.ndarray):
         values = list(values)
-    return np.asarray(values, dtype=np.int64)
+    return np.array(values, dtype=np.int64)
 
 
 def _first_fault(faults: list[tuple[np.ndarray, str]]) -> tuple[int, str] | None:
@@ -487,7 +520,7 @@ def load_matrix_market(path: str | Path) -> Graph:
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
     unit = np.ones(n, dtype=np.int64)
-    return Graph(n, indptr, col, np.ones(keys.size, dtype=np.int64), unit, unit)
+    return Graph._built(n, indptr, col, np.ones(keys.size, dtype=np.int64), unit, unit)
 
 
 def load_metis(path: str | Path) -> Graph:
@@ -632,7 +665,7 @@ def load_metis(path: str | Path) -> Graph:
 
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
-    return Graph(n, indptr, v[csr], weights, cost, size)
+    return Graph._built(n, indptr, v[csr], weights, cost, size)
 
 
 def save_metis(g: Graph, path: str | Path) -> None:

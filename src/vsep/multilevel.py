@@ -239,14 +239,27 @@ def _bounds_reachable(inst: CbpInstance) -> bool:
 def _random_binary_side(
     s: np.ndarray, l: int, u: int, rng: np.random.Generator
 ) -> np.ndarray | None:
+    """A random binary side: draw a target in [l, u], then walk a random
+    permutation of the items and take each one that still fits the
+    target.  Returns None when the items taken fall short of l.
+
+    The walk takes the permutation's longest prefix that fits, then, in
+    order, each later item that fits the room left; only items no larger
+    than the room after the prefix can."""
     target = int(rng.integers(l, u + 1)) if u > l else l
+    perm = rng.permutation(s.size)
+    cums = np.cumsum(s[perm])
+    k = int(np.searchsorted(cums, target, side="right"))
     v = np.zeros(s.size)
-    run = 0.0
-    for idx in rng.permutation(s.size):
-        if run + s[idx] <= target:
+    v[perm[:k]] = 1.0
+    room = target - (float(cums[k - 1]) if k else 0.0)
+    later = perm[k + 1 :]
+    later = later[s[later] <= room]
+    for idx, size in zip(later.tolist(), s[later].tolist()):
+        if size <= room:
             v[idx] = 1.0
-            run += s[idx]
-    return v if run >= l else None
+            room -= size
+    return v if target - room >= l else None
 
 
 def _random_start(inst: CbpInstance, rng: np.random.Generator) -> Point:
@@ -365,9 +378,15 @@ def solve(g: Graph, params: SolveParams | None = None) -> tuple[Partition, list[
     VSP_CAP, the exhaustive oracle ``brute_force_vsp`` answers on the
     finest level's program, with a one-level trace; InfeasibleError then
     means that no partition exists.
+
+    A graph that ``Graph.from_edges``, ``load_metis`` or
+    ``load_matrix_market`` built is not checked again: they reject every
+    fault that ``validate`` looks for.  Any other graph, including a copy
+    or a ``dataclasses.replace`` of a built one, is validated first, and
+    ValueError("invalid graph: ...") lists its first three faults.
     """
     params = params or SolveParams()
-    problems = validate(g)
+    problems = [] if g._checked else validate(g)
     if problems:
         raise ValueError(f"invalid graph: {problems[:3]}")
     levels = build_hierarchy(g, params).levels

@@ -370,6 +370,22 @@ def test_lp_row_classes_match_item_loop_at_large_n(unit):
             _assert_rows_match_item_loop(solve_block_lp(G, s, l, u), G, s, l, u)
 
 
+def test_lp_large_stacks_match_item_loop():
+    # the coarsest multistart stacks up to 120 rows, most outside the bounds
+    rng = np.random.default_rng(47)
+    for trial in range(12):
+        n = int(rng.integers(20, 200))
+        rows = int(rng.integers(40, 121))
+        s = np.ones(n) if trial % 3 == 0 else rng.integers(1, (4, 40)[trial % 3 - 1], size=n).astype(float)
+        G = rng.integers(-3, 4, size=(rows, n)) * rng.choice([1.0, 0.5, 1 / 3])
+        if trial % 2:
+            G += rng.normal(size=(rows, n))
+        P = (G > 0) @ s
+        l, u = (int(x) for x in np.quantile(P, [0.1, 0.1 if trial % 4 == 1 else 0.3]))
+        assert np.count_nonzero((P < l) | (P > u)) >= 32
+        _assert_rows_match_item_loop(solve_block_lp(G, s, l, u), G, s, l, u)
+
+
 def test_lp_sorts_only_what_the_answer_depends_on(monkeypatch):
     rng = np.random.default_rng(67)
     n = 2000

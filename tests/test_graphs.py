@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import pickle
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -879,3 +884,73 @@ def test_graph_is_immutable():
     g = path_graph(3)
     with pytest.raises(ValueError):
         g.indices[0] = 2
+
+
+# ------------------------------------------------------------- checked graphs
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_constructors_copy_the_callers_arrays():
+    cost = np.array([1, 2, 3])
+    g = Graph.from_edges(3, [(0, 1), (1, 2)], vertex_cost=cost, vertex_size=cost)
+    fields = ("indptr", "indices", "weights", "vertex_cost", "vertex_size")
+    given = [np.array(getattr(g, f)) for f in fields]
+    h = Graph(3, *given)
+    pairs = [(cost, g.vertex_cost), (cost, g.vertex_size)] + [(a, getattr(h, f)) for a, f in zip(given, fields)]
+    for theirs, ours in pairs:
+        assert theirs.flags.writeable and not ours.flags.writeable
+        assert not np.shares_memory(theirs, ours)
+    cost[0] = 9
+    given[3][0] = 9
+    assert g.vertex_cost[0] == h.vertex_cost[0] == 1
+
+
+def _built_graphs(tmp_path):
+    """Graphs from the constructors that mark a graph checked: the METIS files
+    in tests/data, seeded random edge lists with weights, costs and sizes,
+    their save_metis round trips, and MatrixMarket files of their edges
+    with both triangles, repeats and diagonal entries."""
+    for f in sorted(DATA.glob("*.graph")):
+        yield load_metis(f)
+    rng = np.random.default_rng(83)
+    for trial in range(24):
+        n = int(rng.integers(1, 40))
+        pairs = np.argwhere(np.triu(rng.random((n, n)) < 0.2, 1))
+        pairs = pairs[rng.permutation(len(pairs))]
+        edges = np.column_stack((pairs, rng.integers(1, 6, size=len(pairs))))
+        g = Graph.from_edges(
+            n,
+            edges if trial % 2 else [tuple(e) for e in edges.tolist()],
+            vertex_cost=rng.integers(0, 9, size=n),
+            vertex_size=rng.integers(1, 4, size=n).tolist(),
+        )
+        yield g
+        f = tmp_path / f"rt{trial}.graph"
+        save_metis(g, f)
+        yield load_metis(f)
+        entries = np.vstack((pairs, pairs[:, ::-1], pairs[:3], np.repeat(np.arange(0, n, 5), 2).reshape(-1, 2))) + 1
+        text = f"%%MatrixMarket matrix coordinate pattern general\n{n} {n} {len(entries)}\n"
+        yield load_matrix_market(write(tmp_path, f"rt{trial}.mtx", text + "".join(f"{i} {j}\n" for i, j in entries)))
+
+
+def test_built_graphs_are_valid(tmp_path):
+    graphs = list(_built_graphs(tmp_path))
+    assert len(graphs) == 73 and sum(g.m for g in graphs) > 1000
+    for g in graphs:
+        assert g._checked and validate(g) == []
+
+
+def test_copies_of_a_built_graph_are_not_checked():
+    g = load_metis(DATA / "grid12.graph")
+    copies = [
+        Graph(g.n, g.indptr, g.indices, g.weights, g.vertex_cost, g.vertex_size),
+        dataclasses.replace(g),
+        copy.copy(g),
+        copy.deepcopy(g),
+        pickle.loads(pickle.dumps(g)),
+    ]
+    for h in copies:
+        assert h == g and not h._checked
+    assert g._checked
+

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,12 +28,13 @@ from vsep.cbp import (
     refine,
     round_to_binary,
 )
-from vsep.graphs import Graph
+from vsep.graphs import Graph, load_metis, validate
 from vsep.multilevel import (
     InfeasibleError,
     Level,
     SolveParams,
     _bounds_reachable,
+    _random_binary_side,
     _random_start,
     _subset_sums,
     _sum_reachable,
@@ -477,6 +481,41 @@ def test_random_start_falls_back_to_the_block_lp(monkeypatch):
     assert feasible(inst, q)
 
 
+def _random_binary_side_loop(s, l, u, rng):
+    """Item-by-item reference of _random_binary_side: the same draws, then
+    each item of the permutation taken when it still fits the target."""
+    target = int(rng.integers(l, u + 1)) if u > l else l
+    v = np.zeros(s.size)
+    run = 0.0
+    for idx in rng.permutation(s.size):
+        if run + s[idx] <= target:
+            v[idx] = 1.0
+            run += s[idx]
+    return v if run >= l else None
+
+
+def test_random_binary_side_matches_item_loop():
+    meta = np.random.default_rng(71)
+    failed = 0
+    for trial in range(600):
+        n = int(meta.integers(0, 70))
+        high = (2, 4, 40)[trial % 3]  # unit, small and large sizes
+        s = meta.integers(1, high, size=n).astype(float)
+        total = int(s.sum())
+        l = int(meta.integers(total // 2, total + 1)) if trial % 4 == 1 else int(meta.integers(0, total + 1))
+        u = l if trial % 4 == 2 else int(meta.integers(l, total + 3))
+        seed = int(meta.integers(2**32))
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, ref = _random_binary_side(s, l, u, got_rng), _random_binary_side_loop(s, l, u, ref_rng)
+        if ref is None:
+            failed += 1
+            assert got is None
+        else:
+            assert got.tobytes() == ref.tobytes()
+        assert got_rng.integers(2**62) == ref_rng.integers(2**62)  # the same draws were made
+    assert failed > 30  # raised lower bounds that a draw misses are covered
+
+
 def _multistart_loop(inst, params, stats):
     """Start-by-start reference of the multistart search in solve_coarsest
     (without its exhaustive backstop for n <= 16)."""
@@ -719,8 +758,31 @@ def test_solve_rejects_invalid_graph():
         np.ones(2, dtype=np.int64),
         np.ones(2, dtype=np.int64),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"invalid graph: \['asymmetry: \(0, 1\)'\]"):
         solve(bad)
+
+
+def test_solve_validates_graphs_that_vsep_did_not_build(monkeypatch):
+    import vsep.multilevel as ml
+
+    calls = []
+    monkeypatch.setattr(ml, "validate", lambda g: calls.append(g) or validate(g))
+    loaded = load_metis(Path(__file__).parent / "data" / "grid12.graph")
+    solve(loaded)
+    solve(Graph.from_edges(3, [(0, 1), (1, 2)]))
+    assert calls == []  # the loaders and from_edges already rejected every fault
+
+    solve(dataclasses.replace(loaded))
+    assert len(calls) == 1
+    indices = loaded.indices.copy()
+    indices[0] = 2  # row 0 lists 2 in place of 1
+    with pytest.raises(ValueError, match=r"invalid graph: \['asymmetry: \(0, 2\)', 'asymmetry: \(1, 0\)'"):
+        solve(dataclasses.replace(loaded, indices=indices))
+    changed = copy.deepcopy(loaded)
+    changed.weights[0] = 5
+    with pytest.raises(ValueError, match=r"invalid graph: \['asymmetry: \(0, 1\)'"):
+        solve(changed)
+    assert len(calls) == 3
 
 
 def test_params_bounds():
