@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, _ranges
+from .graphs import Graph, _ensure_valid, _frozen, _ranges
 
 EPS = 1e-9
 
@@ -71,6 +71,8 @@ class CsrMatrix:
 
     The constructor keeps read-only copies of the arrays and checks that
     form in O(nnz); ``from_entries`` builds it from unordered entries.
+    Every array is a view of a read-only array, which ``setflags(write=True)``
+    cannot unlock, so a ``_symmetric`` mark stays true of the matrix.
     """
 
     __slots__ = ("data", "indices", "indptr", "shape", "rows", "_symmetric")
@@ -93,12 +95,11 @@ class CsrMatrix:
             raise ValueError(f"the columns of row {self.rows[e]} must ascend without repeats")
 
     def _own(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int], symmetric: bool) -> None:
-        """Take arrays already in the canonical form, unchecked and uncopied."""
-        self.data, self.indices, self.indptr = data, indices, indptr
-        for a in (data, indices, indptr):
-            a.setflags(write=False)
+        """Take arrays already in the canonical form that own their memory,
+        unchecked and uncopied, as read-only views."""
+        self.data, self.indices, self.indptr = _frozen(data), _frozen(indices), _frozen(indptr)
         self.shape = shape
-        self.rows = np.repeat(np.arange(shape[0]), np.diff(indptr))  # the row of each entry
+        self.rows = _frozen(np.repeat(np.arange(shape[0]), np.diff(indptr)))  # the row of each entry
         self._symmetric = symmetric  # set once a CbpInstance has checked it, or when built symmetric
 
     @classmethod
@@ -281,12 +282,13 @@ class _RecentProducts:
 class CbpInstance:
     """One level's bilinear program data.
 
-    Costs are integers >= 0 and sizes integers >= 1, kept as float64.  ``B``
-    is symmetric with integer entries >= 1 on its diagonal and on exactly
-    the interaction (edge/aggregate) structure; it may be given as a
-    ``CsrMatrix``, a dense array or a scipy sparse matrix, and is kept as a
-    ``CsrMatrix``.  ``gamma0`` is max(c), or 1 when every cost is 0: the
-    penalty must stay positive to keep x and y apart.
+    Costs are integers >= 0 and sizes integers >= 1, kept as read-only
+    float64 copies.  ``B`` is symmetric with integer entries >= 1 on its
+    diagonal and on exactly the interaction (edge/aggregate) structure; it
+    may be given as a ``CsrMatrix``, a dense array or a scipy sparse
+    matrix, and is kept as a ``CsrMatrix``.  ``gamma0`` is max(c), or 1
+    when every cost is 0: the penalty must stay positive to keep x and y
+    apart.
     """
 
     n: int
@@ -302,10 +304,7 @@ class CbpInstance:
     def __post_init__(self):
         B = _as_csr(self.B)
         object.__setattr__(self, "B", B)
-        c = np.ascontiguousarray(self.c, dtype=np.float64)
-        s = np.ascontiguousarray(self.s, dtype=np.float64)
-        c.setflags(write=False)
-        s.setflags(write=False)
+        c, s = _frozen(np.array(self.c, dtype=np.float64)), _frozen(np.array(self.s, dtype=np.float64))
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "s", s)
         if B.shape != (self.n, self.n):
@@ -383,9 +382,11 @@ class Partition:
 def instance_from_graph(g: Graph, la: int, ua: int, lb: int, ub: int) -> CbpInstance:
     """Finest-level instance: B = adjacency + identity, c and s from the graph.
 
-    ``g`` must keep Graph's invariants (``validate`` checks them): then
-    each row's diagonal entry goes in after its lower neighbours, and the
-    mirrored neighbour lists make B symmetric, which is not checked again."""
+    ``g`` is validated first unless it is marked checked (ValueError
+    "invalid graph: ..." otherwise).  Then each row's diagonal entry goes
+    in after its lower neighbours, and the mirrored neighbour lists make B
+    symmetric, which is not checked again."""
+    _ensure_valid(g)
     n, ids = g.n, np.arange(g.n)
     rows = np.repeat(ids, np.diff(g.indptr))
     indptr = g.indptr + np.arange(n + 1)  # one more entry per row

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -29,12 +28,15 @@ class Graph:
     for graphs loaded from disk, >= 1 for coarsened graphs).
 
     The constructor stores read-only int64 copies of the arrays it is given
-    and checks nothing: ``validate`` reports what is wrong, and ``solve``
-    runs it.  ``from_edges``, ``load_metis`` and ``load_matrix_market``
-    reject every fault ``validate`` looks for, and build through
-    ``_built``, which takes their fresh arrays uncopied and marks the graph
-    as checked.  The mark belongs to that one object: ``dataclasses.replace``,
-    ``copy`` and pickling give an unmarked graph.
+    and checks nothing: ``validate`` reports what is wrong, and ``solve`` and
+    ``instance_from_graph`` run it once per graph.  ``from_edges``,
+    ``load_metis`` and ``load_matrix_market`` reject every fault
+    ``validate`` looks for, and build through ``_built``, which takes their
+    fresh arrays uncopied and sets the graph's ``_checked`` mark.  Every
+    array is a view of a read-only array, so ``setflags(write=True)``
+    cannot unlock it and the mark stays true of the graph.
+    ``dataclasses.replace``, ``copy`` and pickling go through the
+    constructor and give an unmarked graph.
     """
 
     n: int
@@ -46,26 +48,23 @@ class Graph:
 
     def __post_init__(self):
         for name in ("indptr", "indices", "weights", "vertex_cost", "vertex_size"):
-            arr = np.array(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=np.int64)))
+        object.__setattr__(self, "_checked", False)
 
     @classmethod
     def _built(cls, n, indptr, indices, weights, vertex_cost, vertex_size) -> "Graph":
-        """A checked graph over int64 arrays that this module built, uncopied;
-        they must satisfy every invariant ``validate`` checks."""
+        """A checked graph over int64 arrays that this module built and that
+        own their memory, uncopied; they must satisfy every invariant
+        ``validate`` checks."""
         arrays = dict(indptr=indptr, indices=indices, weights=weights, vertex_cost=vertex_cost, vertex_size=vertex_size)
-        for arr in arrays.values():
-            arr.setflags(write=False)
         g = cls.__new__(cls)
-        g.__dict__.update(n=n, **arrays)  # frozen: bypass __setattr__, as __init__ does
-        _CHECKED[id(g)] = g
+        # frozen: bypass __setattr__, as __init__ does
+        g.__dict__.update(n=n, _checked=True, **{name: _frozen(arr) for name, arr in arrays.items()})
         return g
 
-    @property
-    def _checked(self) -> bool:
-        """Whether ``_built`` made this graph, so that ``validate`` would find nothing."""
-        return _CHECKED.get(id(self)) is self
+    def __reduce__(self):
+        """Copies and unpickled graphs are rebuilt by the constructor, unmarked."""
+        return type(self), (self.n, self.indptr, self.indices, self.weights, self.vertex_cost, self.vertex_size)
 
     @property
     def m(self) -> int:
@@ -146,10 +145,11 @@ class Graph:
         return cls._built(n, indptr, cols[order], np.concatenate((w, w))[order], cost, size)
 
 
-# The graphs ``Graph._built`` made, by id: Graph compares by value and so
-# cannot be hashed into a WeakSet, and a mark stored on the graph itself
-# would be copied along with it.
-_CHECKED = weakref.WeakValueDictionary()
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A view of ``arr``, which must own its memory, after making ``arr``
+    read-only: ``setflags(write=True)`` cannot unlock the view."""
+    arr.setflags(write=False)
+    return arr.view()
 
 
 def _int_array(values: Iterable[int]) -> np.ndarray:
@@ -264,31 +264,18 @@ def validate(g: Graph) -> list[str]:
     return out
 
 
+def _ensure_valid(g: Graph) -> None:
+    """Mark ``g`` checked once ``validate`` finds nothing; else ValueError names its first three faults."""
+    if not g._checked:
+        problems = validate(g)
+        if problems:
+            raise ValueError(f"invalid graph: {problems[:3]}")
+        object.__setattr__(g, "_checked", True)
+
+
 _MAX_DIGITS = 18  # every token of at most 18 digits fits in int64
 _OTHER_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"  # ASCII bytes besides "\n" that str.splitlines breaks at
 _INT64 = range(-(2**63), 2**63)
-
-# A reader of decimal literals [+-]?(D+.?D*|.D+)([eE][+-]?D+)?, one byte a step:
-# a row per state, a column per byte class (digit, ".", sign, "e", other).
-_LITERAL_CLASS = np.full(256, 4, dtype=np.uint8)
-_LITERAL_CLASS[[ord(c) for c in "0123456789.+-eE"]] = [0] * 10 + [1, 2, 2, 3, 3]
-_LITERAL = np.array(
-    [
-        [2, 4, 1, 9, 9],  # 0 start
-        [3, 4, 9, 9, 9],  # 1 sign
-        [2, 5, 9, 6, 9],  # 2 digits, unsigned: an int
-        [3, 5, 9, 6, 9],  # 3 digits after a sign
-        [5, 9, 9, 9, 9],  # 4 "." before any digit
-        [5, 9, 9, 6, 9],  # 5 fraction
-        [8, 9, 7, 9, 9],  # 6 "e"
-        [8, 9, 9, 9, 9],  # 7 exponent sign
-        [8, 9, 9, 9, 9],  # 8 exponent digits
-        [9, 9, 9, 9, 9],  # 9 rejected
-    ],
-    dtype=np.uint8,
-)
-_UNSIGNED, _SIGNED, _NUMBERS = 2, 3, [2, 3, 5, 8]  # plain ints; digits float() reads; all float() reads
-_LITERAL_STEP = _LITERAL[:, _LITERAL_CLASS].astype(np.uint16).ravel()  # state * 256 + byte -> state
 
 
 class _Lines:
@@ -298,8 +285,9 @@ class _Lines:
     into tokens at spaces and tabs. That is how ``str.split`` splits a line
     of printable ASCII (``exact``). A line is ``plain`` when it holds only
     ASCII digits, spaces and tabs, in tokens of at most 18 digits, which
-    ``ints`` converts to int64. Other lines are read as ``str`` by
-    ``line`` and ``tokens``.
+    ``ints`` converts to int64; ``digits`` finds such tokens on other
+    lines, and ``floats`` asks ``float()`` whether it reads a set of
+    tokens. Other lines are read as ``str`` by ``line`` and ``tokens``.
     """
 
     def __init__(self, path: str | Path):
@@ -355,16 +343,22 @@ class _Lines:
             value = np.where(length > d, value * 10 + digit, value)
         return value
 
-    def literals(self, at: np.ndarray) -> np.ndarray:
-        """The state of ``_LITERAL`` after each token ``at``; an unsigned
-        int of more than 18 digits ends in the signed-digits state."""
+    def digits(self, at: np.ndarray) -> np.ndarray:
+        """Mask of the tokens ``at`` that are at most 18 ASCII digits."""
         start, length = self.tok_start[at], self.tok_end[at] - self.tok_start[at]
-        state = np.zeros(at.shape, dtype=np.uint16)
-        for d in range(int(length.max(initial=0))):
-            byte = self.bytes.take(start + d, mode="clip")
-            np.copyto(state, _LITERAL_STEP.take((state << 8) | byte), where=length > d)
-        state[(state == _UNSIGNED) & (length > _MAX_DIGITS)] = _SIGNED
-        return state
+        out = length <= _MAX_DIGITS
+        for d in range(int(length[out].max(initial=0))):
+            out &= (length <= d) | (self.bytes.take(start + d, mode="clip") - ord("0") <= 9)
+        return out
+
+    def floats(self, at: np.ndarray) -> bool:
+        """Whether ``float()`` reads every token ``at``."""
+        try:
+            for start, end in zip(self.tok_start[at].tolist(), self.tok_end[at].tolist()):
+                float(self.data[start:end])
+        except ValueError:
+            return False
+        return True
 
 
 def _one_break_per_line(data: bytes) -> bytes:
@@ -414,7 +408,8 @@ def load_matrix_market(path: str | Path) -> Graph:
     The matrix must be square. Every off-diagonal entry (i, j) becomes an
     undirected unit-weight edge regardless of its value; diagonal entries
     are dropped and duplicate entries collapse. The result has unit vertex
-    costs and sizes.
+    costs and sizes. Indices are read as by ``int()`` and every value must
+    be one that ``float()`` reads.
 
     Raises ParseError for malformed content and IndexError for entries
     outside the declared dimensions.
@@ -471,16 +466,16 @@ def load_matrix_market(path: str | Path) -> Graph:
     if bad.size:
         end = int(bad[0])
         fault = ParseError(f"entry has {counts[end]} tokens, expected {arity}: {text.line(entries[end])!r}")
-    # An entry of printable ASCII whose indices are plain ints and whose values
-    # are decimal literals is read by whole-array passes; any other entry
-    # goes through int() and float() one by one.
+    # An entry of printable ASCII whose indices are plain ints is read by
+    # whole-array passes when float() reads every value of those entries;
+    # any other entry goes through int() and float() one by one. Only the
+    # entries that are not plain (values, signs, long tokens) are checked.
     exact = np.flatnonzero(text.exact[entries[:end]])
     at = text.token_index(entries[exact]).reshape(-1, arity)
     read = text.plain[entries[exact]]
     check = np.flatnonzero(~read)
-    indices_read = (text.literals(at[check, :2]) == _UNSIGNED).all(axis=1)
-    values_read = np.isin(text.literals(at[check, 2:]), _NUMBERS).all(axis=1)
-    read[check] = indices_read & values_read
+    check = check[text.digits(at[check, :2]).all(axis=1)]
+    read[check] = text.floats(at[check, 2:].ravel())
     fast = np.zeros(end, dtype=bool)
     fast[exact[read]] = True
     ij = np.empty((end, 2), dtype=np.int64)
@@ -646,26 +641,27 @@ def load_metis(path: str | Path) -> Graph:
         raise parse_fault
 
     # neighbours are distinct, so the lines mirror each other iff the sorted
-    # (u, v, w) and (v, u, w) records agree
-    csr = slice(None) if order is None else order
-    keys, weights = keys[csr], w[csr]
-    mirror = v[csr] * n + u[csr]
+    # (u, v, w) and (v, u, w) records agree; v and w go to Graph._built, which
+    # needs arrays that own their memory: they are kept or sorted, never sliced
+    if order is not None:
+        keys, u, v, w = keys[order], u[order], v[order], w[order]
+    mirror = v * n + u
     if has_eweight:
         mirror_order = np.argsort(mirror)
-        mirrored = np.array_equal(keys, mirror[mirror_order]) and np.array_equal(weights, weights[mirror_order])
+        mirrored = np.array_equal(keys, mirror[mirror_order]) and np.array_equal(w, w[mirror_order])
     else:
         mirrored = np.array_equal(keys, np.sort(mirror))
     if not mirrored:
         hit = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
-        unmirrored = np.flatnonzero((keys[hit] != mirror) | (weights[hit] != weights))
-        k = int(unmirrored[0] if order is None else order[unmirrored].min())
+        unmirrored = np.flatnonzero((keys[hit] != mirror) | (w[hit] != w))
+        k = int(unmirrored[0] if order is None else unmirrored[np.argmin(order[unmirrored])])  # first in the file
         raise AsymmetryError(f"edge ({u[k] + 1}, {v[k] + 1}) not mirrored on vertex {v[k] + 1}")
     if keys.size // 2 != m:
         raise ParseError(f"header declares {m} edges, found {keys.size // 2}")
 
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(u, minlength=n), out=indptr[1:])
-    return Graph._built(n, indptr, v[csr], weights, cost, size)
+    return Graph._built(n, indptr, v, w, cost, size)
 
 
 def save_metis(g: Graph, path: str | Path) -> None:

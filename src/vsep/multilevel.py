@@ -34,7 +34,7 @@ from .cbp import (
     solve_block_lp,
     EPS,
 )
-from .graphs import Graph, validate
+from .graphs import Graph, _ensure_valid
 from .oracle import VSP_CAP, brute_force_vsp
 
 
@@ -382,13 +382,12 @@ def solve(g: Graph, params: SolveParams | None = None) -> tuple[Partition, list[
     A graph that ``Graph.from_edges``, ``load_metis`` or
     ``load_matrix_market`` built is not checked again: they reject every
     fault that ``validate`` looks for.  Any other graph, including a copy
-    or a ``dataclasses.replace`` of a built one, is validated first, and
-    ValueError("invalid graph: ...") lists its first three faults.
+    or a ``dataclasses.replace`` of a built one, is validated once, before
+    the bounds are judged, and ValueError("invalid graph: ...") lists its
+    first three faults.
     """
     params = params or SolveParams()
-    problems = [] if g._checked else validate(g)
-    if problems:
-        raise ValueError(f"invalid graph: {problems[:3]}")
+    _ensure_valid(g)
     levels = build_hierarchy(g, params).levels
 
     trace: list[LevelTrace] = []

@@ -122,6 +122,50 @@ def test_instance_takes_a_csr_matrix_as_its_own_copy():
     assert inst.B.data[0] == 1.0 and not inst.B.data.flags.writeable
 
 
+def test_instance_keeps_copies_of_the_callers_costs_and_sizes():
+    n, B, _, _ = _p3_data()
+    c, s = np.array([1.0, 2.0, 3.0]), np.ones(3)
+    inst = CbpInstance(n, B, c, s, 1, 1, 1, 1)
+    for theirs, ours in ((c, inst.c), (s, inst.s)):
+        assert theirs.flags.writeable and not np.shares_memory(theirs, ours)
+        with pytest.raises(ValueError):
+            ours.setflags(write=True)
+    c[0] = 9.0
+    assert inst.c[0] == 1.0
+
+
+def test_no_csr_array_can_be_unlocked():
+    B = cbp.CsrMatrix(np.ones(7), [0, 1, 0, 1, 2, 1, 2], [0, 2, 5, 7], (3, 3))
+    matrices = [
+        B,
+        cbp.CsrMatrix.from_entries(np.array([2, 0, 1, 0]), np.array([0, 1, 2, 1]), np.ones(4), (3, 3)),
+        B.contracted(np.array([0, 0, 1]), 2),
+        instance_from_graph(path_graph(3), 1, 1, 1, 1).B,
+    ]
+    for M in matrices:
+        for arr in (M.data, M.indices, M.indptr, M.rows):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.setflags(write=True)
+
+
+def test_instance_from_graph_validates_graphs_it_did_not_build(monkeypatch):
+    import vsep.graphs
+
+    # row 1 lists 2, row 2 lists nothing: B would not be symmetric
+    bad = Graph(3, [0, 1, 3, 3], [1, 0, 2], [1, 1, 1], [1, 1, 1], [1, 1, 1])
+    with pytest.raises(ValueError, match=r"invalid graph: \['asymmetry: \(1, 2\)'\]"):
+        instance_from_graph(bad, 1, 1, 1, 1)
+    calls = []
+    validate = vsep.graphs.validate
+    monkeypatch.setattr(vsep.graphs, "validate", lambda g: calls.append(g) or validate(g))
+    built = path_graph(3)
+    by_hand = Graph(3, built.indptr, built.indices, built.weights, built.vertex_cost, built.vertex_size)
+    for g in (built, by_hand, by_hand):
+        assert np.array_equal(instance_from_graph(g, 1, 1, 1, 1).B.toarray(), _p3_data()[1].toarray())
+    assert calls == [by_hand]  # checked once, then marked
+
+
 # ------------------------------------------------------------------ objective
 
 

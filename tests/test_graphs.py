@@ -528,6 +528,52 @@ def test_mm_errors_match_line_reader(tmp_path):
     assert any("99999999999999999999" in msg for msg in messages)
 
 
+def _real_twin(tmp_path, last_value="7"):
+    """A real MatrixMarket file of ~2 000 entries with values of every form
+    float() reads, some indices written with a sign, and ``last_value`` in
+    its last entry; and its pattern twin."""
+    rng = np.random.default_rng(61)
+    n, values = 300, ["-1.5e-3", "+2", ".5", "1.", "3E+2", "-0", "1_0", "inf", "nan", "-.25e1", "007"]
+    pairs = rng.integers(1, n + 1, size=(2000, 2)).tolist()
+    lines = [f"+{i} {j}" if k % 97 == 0 else f"{i} {j}" for k, (i, j) in enumerate(pairs)]
+    vals = [values[k % len(values)] for k in range(len(lines) - 1)] + [last_value]
+    head = "%%MatrixMarket matrix coordinate {} general\n" + f"{n} {n} {len(lines)}\n"
+    real = write(tmp_path, "real.mtx", head.format("real") + "".join(f"{ln} {v}\n" for ln, v in zip(lines, vals)))
+    pattern = write(tmp_path, "pattern.mtx", head.format("pattern") + "".join(ln + "\n" for ln in lines))
+    return real, pattern
+
+
+def test_mm_real_values_load_as_their_pattern(tmp_path, monkeypatch):
+    from vsep.graphs import _Lines
+
+    real, pattern = _real_twin(tmp_path)
+    read_alone = []
+    tokens = _Lines.tokens
+    monkeypatch.setattr(_Lines, "tokens", lambda self, k: read_alone.append(k) or tokens(self, k))
+    g = load_matrix_market(real)
+    assert len(read_alone) == 21  # only the entries with a signed index go through int() and float()
+    assert g == load_matrix_market(pattern) and g.m > 1900
+    assert _mm_outcome(load_matrix_market, real) == _mm_outcome(_load_mm_lines, real.read_text())
+    assert load_matrix_market(DATA / "p5_real.mtx") == path_graph(5)
+
+
+def test_mm_bad_last_value_is_found_line_by_line(tmp_path):
+    real, _ = _real_twin(tmp_path, last_value="1e")
+    text = real.read_text()
+    expected = _mm_outcome(_load_mm_lines, text)
+    assert expected[0] == "ParseError" and "malformed entry" in expected[1] and expected[1].endswith(" 1e'")
+    assert _mm_outcome(load_matrix_market, real) == expected
+
+
+def test_mm_long_indices_of_real_entries_are_read_by_int(tmp_path):
+    # more than 18 digits may overflow int64, so such an entry is read line by line
+    for index in ("0000000000000000000002", "9999999999999999999", "99999999999999999999"):
+        text = f"%%MatrixMarket matrix coordinate real general\n3 3 2\n{index} 1 2.5\n3 2 -1\n"
+        expected = _mm_outcome(_load_mm_lines, text)
+        assert _mm_outcome(load_matrix_market, write(tmp_path, "long.mtx", text)) == expected
+        assert (expected == (3, {(0, 1), (1, 2)})) == (index[-1] == "2")
+
+
 @pytest.mark.parametrize("blank", ["\x1f", "\xa0", "\u2003", "\u3000"])
 def test_loaders_split_tokens_as_str_split(tmp_path, blank):
     # str.split splits at each of these as at a space, and none ends a line
@@ -883,7 +929,10 @@ def test_loaders_match_from_edges_on_rgg(tmp_path):
 def test_graph_is_immutable():
     g = path_graph(3)
     with pytest.raises(ValueError):
+        g.indices.setflags(write=True)  # else the graph's checked mark could go stale
+    with pytest.raises(ValueError):
         g.indices[0] = 2
+    assert g._checked and validate(g) == []
 
 
 # ------------------------------------------------------------- checked graphs
@@ -939,6 +988,43 @@ def test_built_graphs_are_valid(tmp_path):
     assert len(graphs) == 73 and sum(g.m for g in graphs) > 1000
     for g in graphs:
         assert g._checked and validate(g) == []
+
+
+def _unlockable(g):
+    """The names of ``g``'s arrays that ``setflags(write=True)`` unlocks."""
+    out = []
+    for name in ("indptr", "indices", "weights", "vertex_cost", "vertex_size"):
+        arr = getattr(g, name)
+        assert not arr.flags.writeable
+        try:
+            arr.setflags(write=True)
+            out.append(name)
+        except ValueError:
+            pass
+    return out
+
+
+def test_no_graph_array_can_be_unlocked(tmp_path):
+    loaded = load_metis(DATA / "grid12.graph")
+    sorted_lines = write(tmp_path, "sorted.graph", "3 2 111 1\n1 2 2 4\n1 0 1 4 3 5\n2 7 2 5\n")
+    unsorted_lines = write(tmp_path, "unsorted.graph", "3 2\n2\n3 1\n2\n")
+    mtx = write(tmp_path, "p3.mtx", "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 -1.5\n3 2 1e3\n")
+    graphs = [
+        Graph(3, [0, 1, 3, 4], [1, 0, 2, 1], [1, 1, 1, 1], [1, 1, 1], [1, 1, 1]),
+        Graph.from_edges(3, [(0, 1), (1, 2)]),
+        Graph.from_edges(3, np.array([[0, 1, 2], [1, 2, 3]]), vertex_cost=np.array([1, 2, 3])),
+        loaded,
+        load_metis(sorted_lines),
+        load_metis(unsorted_lines),
+        load_matrix_market(mtx),
+        copy.copy(loaded),
+        copy.deepcopy(loaded),
+        pickle.loads(pickle.dumps(loaded)),
+        dataclasses.replace(loaded, weights=np.array(loaded.weights)),
+    ]
+    assert graphs[4] == Graph.from_edges(3, [(0, 1, 4), (1, 2, 5)], vertex_cost=[2, 0, 7], vertex_size=[1, 1, 2])
+    assert graphs[5] == graphs[6] == path_graph(3) == graphs[0]
+    assert [_unlockable(g) for g in graphs] == [[]] * len(graphs)
 
 
 def test_copies_of_a_built_graph_are_not_checked():

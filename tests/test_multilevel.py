@@ -763,10 +763,10 @@ def test_solve_rejects_invalid_graph():
 
 
 def test_solve_validates_graphs_that_vsep_did_not_build(monkeypatch):
-    import vsep.multilevel as ml
+    import vsep.graphs
 
     calls = []
-    monkeypatch.setattr(ml, "validate", lambda g: calls.append(g) or validate(g))
+    monkeypatch.setattr(vsep.graphs, "validate", lambda g: calls.append(g) or validate(g))
     loaded = load_metis(Path(__file__).parent / "data" / "grid12.graph")
     solve(loaded)
     solve(Graph.from_edges(3, [(0, 1), (1, 2)]))
@@ -778,8 +778,9 @@ def test_solve_validates_graphs_that_vsep_did_not_build(monkeypatch):
     indices[0] = 2  # row 0 lists 2 in place of 1
     with pytest.raises(ValueError, match=r"invalid graph: \['asymmetry: \(0, 2\)', 'asymmetry: \(1, 0\)'"):
         solve(dataclasses.replace(loaded, indices=indices))
-    changed = copy.deepcopy(loaded)
-    changed.weights[0] = 5
+    edited = loaded.weights.copy()
+    edited[0] = 5
+    changed = dataclasses.replace(copy.deepcopy(loaded), weights=edited)
     with pytest.raises(ValueError, match=r"invalid graph: \['asymmetry: \(0, 1\)'"):
         solve(changed)
     assert len(calls) == 3
