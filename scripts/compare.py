@@ -26,8 +26,9 @@ each tree's median peak RSS (``ru_maxrss``) over its timing processes,
 and the call counters of one pass per tree under
 ``perfbench/tracing.py``: timing two trees that do different work
 compares more than their speed.  It then times set-up the same way:
-alternating fresh interpreters of each tree import vsep and load the
-workload's files, as perfbench's ``setup_s`` does, and the script prints
+alternating fresh interpreters of each tree, in the caller's environment,
+import vsep and load the workload's files, as perfbench's ``setup_s``
+does, and the script prints
 their pairs, quartiles and verdict by the same rule.
 """
 
@@ -171,10 +172,14 @@ def _run(mode: str, tree: Path, listing: Path) -> str:
 
 
 def _setup(tree: Path, listing: Path) -> float:
-    """One fresh interpreter's set-up time on ``tree``.  Bytecode, its own
+    """One fresh interpreter's set-up time on ``tree``, in this process's
+    environment, as perfbench's ``setup_once`` runs it: under
+    ``PYTHONDONTWRITEBYTECODE`` every interpreter compiles vsep again and
+    reads its libraries' installed bytecode.  Otherwise the bytecode, vsep's
     and its libraries', is cached beside ``listing``, not in the tree."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-    env["PYTHONPYCACHEPREFIX"] = str(listing.parent / "pycache")
+    env = dict(os.environ)
+    if not env.get("PYTHONDONTWRITEBYTECODE"):
+        env["PYTHONPYCACHEPREFIX"] = str(listing.parent / "pycache")
     proc = subprocess.run(
         [sys.executable, "-c", SETUP_SCRIPT, str(tree / "src"), str(listing)], capture_output=True, text=True, env=env
     )
@@ -263,7 +268,7 @@ def _setup_pairs(trees: dict[str, Path], listing: Path, pairs: int) -> None:
     count = len(json.loads(listing.read_text()))
     print(f"set-up: a fresh interpreter imports vsep and loads the {count} files")
     for tree in trees.values():
-        _setup(tree, listing)  # fills the bytecode cache; not counted
+        _setup(tree, listing)  # fills the bytecode cache, if written; not counted
     times = _alternate(trees, pairs, lambda tree: _setup(tree, listing), float)
     print(*pair_summary(times["base"], times["head"]), sep="\n")
 

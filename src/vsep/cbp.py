@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, _ensure_valid, _frozen, _ranges
+from .graphs import Graph, _ensure_valid, _ranges
 
 EPS = 1e-9
 
@@ -34,6 +34,13 @@ _PROBE_CELLS = 4096
 _RECENT_NNZ = 4096
 _RECENT = 4
 _PATCH_SHARE = 4
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A view of ``arr``, which must own its memory, after making ``arr``
+    read-only: ``setflags(write=True)`` cannot unlock the view."""
+    arr.setflags(write=False)
+    return arr.view()
 
 
 class DimensionMismatchError(ValueError):
@@ -817,7 +824,9 @@ def escape(
     point's holder; a finished holder stays.  This is exact: the holder
     has lost steps 1..k-1 from the point, and the newcomer, with the same
     point and objective bits, would lose them too and then walk as the
-    holder does.  Within a round each distinct probe point is
+    holder does.  A call with one row keeps no holders: its row meets no
+    other row, and never returns to a point it left, as every accept
+    raises its objective.  Within a round each distinct probe point is
     re-refined once, and the call remembers the objective at gamma0 of
     every point it re-refined: a known point that cannot beat its rows'
     objectives is not re-refined again.  This rests on ``refine`` and
@@ -835,13 +844,15 @@ def escape(
     weight = np.ones(rows, dtype=np.int64)  # the rows each walking row stands for
     known: dict[bytes, float] = {}  # objective at gamma0 of each re-refined probe point
     holder: dict[bytes, int] = {}  # the row at each point, walking or finished
+    shared = rows > 1  # else no holders: see the docstring
     while True:
-        for r in np.flatnonzero(k == 1).tolist():  # at the start, or this round's accepts
-            keep = holder.setdefault(x[r].tobytes() + y[r].tobytes(), r)
-            if keep != r:
-                alias[alias == r] = keep
-                weight[keep] += weight[r]
-                k[r] = K + 1
+        if shared:
+            for r in np.flatnonzero(k == 1).tolist():  # at the start, or this round's accepts
+                keep = holder.setdefault(x[r].tobytes() + y[r].tobytes(), r)
+                if keep != r:
+                    alias[alias == r] = keep
+                    weight[keep] += weight[r]
+                    k[r] = K + 1
         live = np.flatnonzero(k <= K)
         if not live.size:
             break
@@ -867,7 +878,7 @@ def escape(
         better = f_slot[slot] > bar
         won, first = np.unique(src[better], return_index=True)  # each row's first win
         if won.size:
-            for r in won.tolist():
+            for r in won.tolist() if shared else []:
                 del holder[x[r].tobytes() + y[r].tobytes()]
             b = slot[better][first]
             back_row = np.cumsum(redo)[b] - 1

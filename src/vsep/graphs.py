@@ -32,9 +32,10 @@ class Graph:
     ``instance_from_graph`` run it once per graph.  ``from_edges``,
     ``load_metis`` and ``load_matrix_market`` reject every fault
     ``validate`` looks for, and build through ``_built``, which takes their
-    fresh arrays uncopied and sets the graph's ``_checked`` mark.  Every
-    array is a view of a read-only array, so ``setflags(write=True)``
-    cannot unlock it and the mark stays true of the graph.
+    fresh arrays and sets the graph's ``_checked`` mark.  Every array is a
+    read-only copy over immutable ``bytes`` (``_sealed``): neither it nor
+    its base can be unlocked by ``setflags(write=True)``, so the mark stays
+    true of the graph.
     ``dataclasses.replace``, ``copy`` and pickling go through the
     constructor and give an unmarked graph.
     """
@@ -48,18 +49,18 @@ class Graph:
 
     def __post_init__(self):
         for name in ("indptr", "indices", "weights", "vertex_cost", "vertex_size"):
-            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=np.int64)))
+            object.__setattr__(self, name, _sealed(np.asarray(getattr(self, name), dtype=np.int64)))
         object.__setattr__(self, "_checked", False)
 
     @classmethod
     def _built(cls, n, indptr, indices, weights, vertex_cost, vertex_size) -> "Graph":
-        """A checked graph over int64 arrays that this module built and that
-        own their memory, uncopied; they must satisfy every invariant
-        ``validate`` checks."""
+        """A checked graph over sealed copies of int64 arrays that this
+        module built; they must satisfy every invariant ``validate``
+        checks."""
         arrays = dict(indptr=indptr, indices=indices, weights=weights, vertex_cost=vertex_cost, vertex_size=vertex_size)
         g = cls.__new__(cls)
         # frozen: bypass __setattr__, as __init__ does
-        g.__dict__.update(n=n, _checked=True, **{name: _frozen(arr) for name, arr in arrays.items()})
+        g.__dict__.update(n=n, _checked=True, **{name: _sealed(arr) for name, arr in arrays.items()})
         return g
 
     def __reduce__(self):
@@ -145,11 +146,10 @@ class Graph:
         return cls._built(n, indptr, cols[order], np.concatenate((w, w))[order], cost, size)
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """A view of ``arr``, which must own its memory, after making ``arr``
-    read-only: ``setflags(write=True)`` cannot unlock the view."""
-    arr.setflags(write=False)
-    return arr.view()
+def _sealed(arr: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``arr`` over immutable ``bytes``, which numpy
+    cannot make writable again, unlike an array that owns its memory."""
+    return np.frombuffer(arr.tobytes(), dtype=arr.dtype).reshape(arr.shape)
 
 
 def _int_array(values: Iterable[int]) -> np.ndarray:

@@ -27,6 +27,7 @@ from .cbp import (
     Point,
     escape,
     extract_partition,
+    feasible,
     instance_from_graph,
     objective,
     refine,
@@ -236,46 +237,87 @@ def _bounds_reachable(inst: CbpInstance) -> bool:
     return all(_sum_reachable(sums, l, u) for l, u in windows)
 
 
+def _binary_sides(s: np.ndarray, l: int, u: int, rngs: list[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
+    """One random binary side per generator, as a (rows, n) stack, and
+    which rows reach l.  Each generator draws a target in [l, u], then a
+    permutation of the items; its row takes each item of the permutation
+    that still fits the target.
+
+    The walk takes each permutation's longest prefix that fits, then, in
+    order, each later item that fits the room left, one item per row and
+    round; an item that does not fit never fits later, as the room only
+    shrinks."""
+    rows, n = len(rngs), s.size
+    draws = [(int(rng.integers(l, u + 1)) if u > l else l, rng.permutation(n)) for rng in rngs]
+    target = np.array([t for t, _ in draws], dtype=np.float64)
+    perm = np.array([q for _, q in draws], dtype=np.int64)
+    sizes = s[perm]
+    cums = np.zeros((rows, n + 1))  # cums[:, t]: size of the first t items; rises strictly
+    np.cumsum(sizes, axis=1, out=cums[:, 1:])
+    taken = cums[:, 1:] <= target[:, None]  # the prefix that fits
+    pos = taken.sum(axis=1)  # the first position past the prefix
+    room = target - cums[np.arange(rows), pos]
+    at = np.arange(n)
+    while True:
+        fits = (at > pos[:, None]) & (sizes <= room[:, None])
+        live = np.flatnonzero(fits.any(axis=1))
+        if not live.size:
+            break
+        pos[live] = fits[live].argmax(axis=1)
+        taken[live, pos[live]] = True
+        room[live] -= sizes[live, pos[live]]
+    v = np.zeros((rows, n))
+    v[np.arange(rows)[:, None], perm] = taken
+    return v, target - room >= l
+
+
 def _random_binary_side(
     s: np.ndarray, l: int, u: int, rng: np.random.Generator
 ) -> np.ndarray | None:
-    """A random binary side: draw a target in [l, u], then walk a random
-    permutation of the items and take each one that still fits the
-    target.  Returns None when the items taken fall short of l.
+    """``_binary_sides`` for one generator: its side, or None when the items
+    taken fall short of l."""
+    v, ok = _binary_sides(s, l, u, [rng])
+    return v[0] if ok[0] else None
 
-    The walk takes the permutation's longest prefix that fits, then, in
-    order, each later item that fits the room left; only items no larger
-    than the room after the prefix can."""
-    target = int(rng.integers(l, u + 1)) if u > l else l
-    perm = rng.permutation(s.size)
-    cums = np.cumsum(s[perm])
-    k = int(np.searchsorted(cums, target, side="right"))
-    v = np.zeros(s.size)
-    v[perm[:k]] = 1.0
-    room = target - (float(cums[k - 1]) if k else 0.0)
-    later = perm[k + 1 :]
-    later = later[s[later] <= room]
-    for idx, size in zip(later.tolist(), s[later].tolist()):
-        if size <= room:
-            v[idx] = 1.0
-            room -= size
-    return v if target - room >= l else None
+
+def _random_starts(inst: CbpInstance, rngs: list[np.random.Generator]) -> Point:
+    """One feasible start per generator, as a stack: each side is the first
+    of 32 greedy binary draws that meets its bounds, else the block-LP
+    vertex for random gains (at most one fractional coordinate).  A
+    generator draws side A, then side B, as it would alone; only the rows
+    that missed draw again."""
+    sides = []
+    for l, u in ((inst.la, inst.ua), (inst.lb, inst.ub)):
+        v = np.empty((len(rngs), inst.n))
+        todo = np.arange(len(rngs))
+        for _ in range(32):
+            drawn, ok = _binary_sides(inst.s, l, u, [rngs[i] for i in todo])
+            v[todo[ok]] = drawn[ok]
+            todo = todo[~ok]
+            if not todo.size:
+                break
+        else:
+            v[todo] = solve_block_lp(np.array([rngs[i].random(inst.n) for i in todo]), inst.s, l, u)
+        sides.append(v)
+    return Point(sides[0], sides[1])
 
 
 def _random_start(inst: CbpInstance, rng: np.random.Generator) -> Point:
-    """A feasible start: each side is the first of 32 greedy binary draws
-    that meets its bounds, else the block-LP vertex for random gains (at
-    most one fractional coordinate)."""
-    sides = []
-    for l, u in ((inst.la, inst.ua), (inst.lb, inst.ub)):
-        for _ in range(32):
-            v = _random_binary_side(inst.s, l, u, rng)
-            if v is not None:
-                break
-        else:
-            v = solve_block_lp(rng.random(inst.n), inst.s, l, u)
-        sides.append(v)
-    return Point(sides[0], sides[1])
+    """``_random_starts`` for one generator."""
+    p = _random_starts(inst, [rng])
+    return Point(p.x[0], p.y[0])
+
+
+def _admissible_pair(inst: CbpInstance) -> bool:
+    """Whether some i != j with B_ij = 0 has s_i <= ua and s_j <= ub: the
+    pair that a binary orthogonal point with both sides nonempty needs.
+    The pairs of I = {s <= ua} and J = {s <= ub} are counted against the
+    off-diagonal entries of B inside I x J, in O(nnz)."""
+    in_a, in_b = inst.s <= inst.ua, inst.s <= inst.ub
+    pairs = int(in_a.sum()) * int(in_b.sum()) - int((in_a & in_b).sum())
+    B = inst.B
+    edges = np.count_nonzero(in_a[B.rows] & in_b[B.indices] & (B.rows != B.indices))
+    return pairs > edges
 
 
 def solve_coarsest(
@@ -284,14 +326,23 @@ def solve_coarsest(
     """Best binary orthogonal point over seeded multistarts: the first step of
     ``solve``'s walk up the hierarchy.
 
-    Each start is a random feasible point (``_random_start``) drawn from its
-    own seed ``(params.seed, start)``, after one subset-sum bitset of ``s``
-    has shown that both sides' bounds are reachable at all (skipped for
-    sizes too large to prove, see ``_bounds_reachable``).  All starts are refined and
-    escaped together, as one (multistarts, n) stack in which every row gets
-    the result it would get alone; then each is rounded, and the best
-    objective at gamma0 wins (first start on ties; a start whose rounding
-    fails is skipped).  Equal escaped rows are rounded once: a later twin
+    One subset-sum bitset of ``s`` first shows that both sides' bounds are
+    reachable at all (skipped for sizes too large to prove, see
+    ``_bounds_reachable``).  Above VSP_CAP, with la >= 1 and lb >= 1, a
+    level on which no pair i != j with B_ij = 0 fits the bounds
+    (``_admissible_pair``) has no binary orthogonal point, so every start
+    would fail to round: it raises that search's InfeasibleError without
+    drawing a start.
+
+    Each start is a random feasible point drawn from its own generator
+    ``(params.seed, start)``; all starts are drawn as one stack
+    (``_random_starts``), each generator making the draws it would make
+    alone.  They are refined and escaped together, as one (multistarts, n)
+    stack in which every row gets the result it would get alone; then each
+    is rounded, and the best objective at gamma0 wins (first start on ties;
+    a start whose rounding fails is skipped).  A row of a feasible stack
+    that is binary with x.B.y = 0 is its own rounding and is not passed to
+    ``round_to_binary``.  Equal escaped rows are rounded once: a later twin
     would round to the same point and objective, which cannot beat the
     best so far by more than EPS, or fail as the first did, so skipping it
     cannot change the winner.  ``stats["escapes"]`` sums the escapes of all
@@ -302,28 +353,37 @@ def solve_coarsest(
     """
     if not _bounds_reachable(inst):
         raise InfeasibleError("no binary point satisfies the sum bounds")
+    if inst.n > VSP_CAP and inst.la >= 1 and inst.lb >= 1 and not _admissible_pair(inst):
+        raise InfeasibleError("no start reached a binary orthogonal point")
 
-    starts = [
-        _random_start(inst, np.random.default_rng((params.seed, start)))
-        for start in range(params.multistarts)
-    ]
-    p = Point(np.stack([q.x for q in starts]), np.stack([q.y for q in starts]))
-    p = refine(inst, p, inst.gamma0)
+    rngs = [np.random.default_rng((params.seed, start)) for start in range(params.multistarts)]
+    p = refine(inst, _random_starts(inst, rngs), inst.gamma0)
     p = escape(inst, p, gamma_steps=params.gamma_steps, stats=stats)
+
+    # rows that round_to_binary would return unchanged: binary, and no
+    # x_i = 1 next to a y_j = 1, as its orthogonality repair reads B
+    own = np.zeros(len(p.x), dtype=bool)
+    if feasible(inst, p):
+        binary = ((p.x == 0) | (p.x == 1)).all(axis=1) & ((p.y == 0) | (p.y == 1)).all(axis=1)
+        own = binary & ~((p.x == 1) & ((inst.B @ p.y.T).T > 0)).any(axis=1)
+    f_rows = objective(inst, p, inst.gamma0)
 
     best: Point | None = None
     best_f = -math.inf
     rounded: set[bytes] = set()
-    for x, y in zip(p.x, p.y):
+    for r, (x, y) in enumerate(zip(p.x, p.y)):
         key = x.tobytes() + y.tobytes()
         if key in rounded:
             continue
         rounded.add(key)
-        try:
-            q = round_to_binary(inst, Point(x, y))
-        except DegenerateRepairError:
-            continue
-        f = objective(inst, q, inst.gamma0)
+        if own[r]:
+            q, f = Point(x.copy(), y.copy()), float(f_rows[r])
+        else:
+            try:
+                q = round_to_binary(inst, Point(x, y))
+            except DegenerateRepairError:
+                continue
+            f = objective(inst, q, inst.gamma0)
         if f > best_f + EPS:
             best, best_f = q, f
 

@@ -149,10 +149,18 @@ def test_setup_pairs_print_their_verdict(tmp_path, monkeypatch, capsys):
     assert out[-1] == "verdict: faster"
 
 
-def test_setup_times_a_fresh_interpreter(tmp_path):
+def test_setup_times_a_fresh_interpreter(tmp_path, monkeypatch):
     (tmp_path / "p5.graph").write_text(P5_METIS)
     listing = tmp_path / "cases.json"
     listing.write_text(json.dumps([["p5", str(tmp_path / "p5.graph"), SolveParams.lb]]))
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     seconds = _compare()._setup(ROOT, listing)
     assert 0 < seconds < 60
     assert (tmp_path / "pycache").is_dir()  # bytecode goes beside the listing
+    # the caller's environment is inherited, as perfbench's setup_once does
+    quiet = tmp_path / "quiet"
+    quiet.mkdir()
+    (quiet / "cases.json").write_text(listing.read_text())
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert 0 < _compare()._setup(ROOT, quiet / "cases.json") < 60
+    assert not (quiet / "pycache").exists()

@@ -991,16 +991,19 @@ def test_built_graphs_are_valid(tmp_path):
 
 
 def _unlockable(g):
-    """The names of ``g``'s arrays that ``setflags(write=True)`` unlocks."""
+    """The names of ``g``'s arrays that ``setflags(write=True)`` unlocks,
+    on the array itself or on any array along its ``.base`` chain."""
     out = []
     for name in ("indptr", "indices", "weights", "vertex_cost", "vertex_size"):
         arr = getattr(g, name)
         assert not arr.flags.writeable
-        try:
-            arr.setflags(write=True)
-            out.append(name)
-        except ValueError:
-            pass
+        while isinstance(arr, np.ndarray):
+            try:
+                arr.setflags(write=True)
+                out.append(name)
+                break
+            except ValueError:
+                arr = arr.base
     return out
 
 

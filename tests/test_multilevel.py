@@ -16,6 +16,7 @@ from conftest import (
     path_graph,
     random_fractional_point,
 )
+from vsep import multilevel
 from vsep.cbp import (
     CsrMatrix,
     DegenerateRepairError,
@@ -27,15 +28,18 @@ from vsep.cbp import (
     partition_violations,
     refine,
     round_to_binary,
+    solve_block_lp,
 )
 from vsep.graphs import Graph, load_metis, validate
 from vsep.multilevel import (
     InfeasibleError,
     Level,
     SolveParams,
+    _admissible_pair,
     _bounds_reachable,
     _random_binary_side,
     _random_start,
+    _random_starts,
     _subset_sums,
     _sum_reachable,
     ascending_degree_order,
@@ -466,11 +470,18 @@ def test_bounds_reachable_leaves_huge_sizes_to_the_multistart(monkeypatch):
 
 
 def test_random_start_falls_back_to_the_block_lp(monkeypatch):
-    monkeypatch.setattr("vsep.multilevel._random_binary_side", lambda *args: None)
+    walks = []
+
+    def every_draw_misses(s, l, u, rngs):
+        walks.append(len(rngs))
+        return np.zeros((len(rngs), s.size)), np.zeros(len(rngs), dtype=bool)
+
+    monkeypatch.setattr("vsep.multilevel._binary_sides", every_draw_misses)
     params = SolveParams(coarsest_size=30, multistarts=4)
     inst = build_hierarchy(gnp(120, 0.06, seed=7001), params).levels[-1].inst
     assert inst.n > 16 and inst.s.max() > 1  # an aggregated level, no exhaustive backstop
     p = _random_start(inst, np.random.default_rng(0))
+    assert walks == [1] * 64  # 32 draws per side, then the block LP
     assert feasible(inst, p)
     for v in (p.x, p.y):
         assert np.count_nonzero((v > 0) & (v < 1)) <= 1
@@ -516,6 +527,130 @@ def test_random_binary_side_matches_item_loop():
     assert failed > 30  # raised lower bounds that a draw misses are covered
 
 
+def _random_start_loop(inst, rng, draws=None):
+    """Start-by-start reference of _random_starts: per side, 32 item-by-item
+    draws, then the block LP for random gains.  Appends to ``draws`` each
+    side's count of draws, 33 for the block LP."""
+    sides = []
+    for l, u in ((inst.la, inst.ua), (inst.lb, inst.ub)):
+        for k in range(32):
+            v = _random_binary_side_loop(inst.s, l, u, rng)
+            if v is not None:
+                break
+        else:
+            k += 1
+            v = solve_block_lp(rng.random(inst.n), inst.s, l, u)
+        sides.append(v)
+        if draws is not None:
+            draws.append(k + 1)
+    return Point(*sides)
+
+
+def test_random_starts_match_start_by_start_draws():
+    meta = np.random.default_rng(73)
+    draws: list[int] = []
+    for trial in range(240):
+        if trial % 8 == 7:  # two items of 2 must precede every 3, so many draws miss
+            s = np.array([3] * int(meta.integers(4, 9)) + [2, 2])
+            la = ua = lb = ub = 4
+        else:
+            n = int(meta.integers(1, 40))
+            s = (np.ones(n, dtype=np.int64) if trial % 2 else meta.integers(1, 6, size=n))
+            total = int(s.sum())
+            la, lb = (int(v) for v in meta.integers(total // 3, total + 1, size=2)) if trial % 3 == 0 else (1, 1)
+            ua, ub = int(meta.integers(la, total + 1)), int(meta.integers(lb, total + 1))
+        inst = instance_from_graph(Graph.from_edges(s.size, [], vertex_size=s), la, ua, lb, ub)
+        starts = (1, 20)[trial % 2]
+        seed = int(meta.integers(2**32))
+        got_rngs, ref_rngs = ([np.random.default_rng((seed, k)) for k in range(starts)] for _ in range(2))
+        p = _random_starts(inst, got_rngs)
+        for k, (got_rng, ref_rng) in enumerate(zip(got_rngs, ref_rngs)):
+            ref = _random_start_loop(inst, ref_rng, draws)
+            assert p.x[k].tobytes() == ref.x.tobytes() and p.y[k].tobytes() == ref.y.tobytes()
+            after = got_rng.integers(2**62)
+            assert after == ref_rng.integers(2**62)  # the same draws were made
+            one_rng = np.random.default_rng((seed, k))
+            q = _random_start(inst, one_rng)
+            assert q.x.tobytes() == ref.x.tobytes() and q.y.tobytes() == ref.y.tobytes()
+            assert one_rng.integers(2**62) == after
+    # retries, the block-LP fallback and sides found at once are all covered
+    assert draws.count(33) > 5 and len(set(draws)) > 10 and draws.count(1) > len(draws) / 2
+
+
+def _spy_calls(monkeypatch, names):
+    """Count the calls solve_coarsest makes to each of ``names``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def spy(*args, _name=name, _real=getattr(multilevel, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(multilevel, name, spy)
+    return calls
+
+
+_SEARCH = ("refine", "escape", "round_to_binary")
+
+
+def _complete_minus(n, missing):
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in missing])
+
+
+def test_solve_coarsest_refuses_a_level_without_an_admissible_pair(monkeypatch):
+    # K20; K20 less one edge, one of whose ends is too large for either
+    # side; and the same with both ends too large for B alone
+    cases = [
+        instance_from_graph(complete_graph(20), 1, 10, 1, 10),
+        instance_from_graph(Graph.from_edges(20, list(_complete_minus(20, {(0, 1)}).edges()), vertex_size=[11] + [1] * 19), 1, 10, 1, 10),
+        instance_from_graph(Graph.from_edges(20, list(_complete_minus(20, {(0, 1)}).edges()), vertex_size=[9, 9] + [1] * 18), 1, 10, 1, 8),
+    ]
+    for inst in cases:
+        params = SolveParams(multistarts=6)
+        assert not _admissible_pair(inst)
+        assert _multistart_loop(inst, params, {}) is None  # the search ends in its error
+        with monkeypatch.context() as patch:
+            calls = _spy_calls(patch, _SEARCH)
+            with pytest.raises(InfeasibleError, match="^no start reached a binary orthogonal point$"):
+                solve_coarsest(inst, params)
+        assert calls == dict.fromkeys(_SEARCH, 0)
+
+
+def test_solve_coarsest_searches_where_a_pair_may_be_admissible(monkeypatch):
+    one_pair = instance_from_graph(_complete_minus(20, {(3, 7)}), 1, 10, 1, 10)
+    assert _admissible_pair(one_pair)
+    cases = [
+        (one_pair, None),
+        (instance_from_graph(complete_graph(20), 0, 10, 1, 10), None),  # la = 0: A may be empty
+        (instance_from_graph(complete_graph(16), 1, 8, 1, 8), "^exhaustive search found no valid partition$"),
+    ]
+    for inst, error in cases:
+        params = SolveParams(multistarts=6)
+        ref = _multistart_loop(inst, params, {})
+        with monkeypatch.context() as patch:
+            calls = _spy_calls(patch, _SEARCH)
+            if error:
+                assert ref is None and not _admissible_pair(inst)
+                with pytest.raises(InfeasibleError, match=error):
+                    solve_coarsest(inst, params)
+            else:
+                p = solve_coarsest(inst, params)
+                assert p.x.tobytes() == ref.x.tobytes() and p.y.tobytes() == ref.y.tobytes()
+        assert calls["refine"] >= 1 and calls["escape"] == 1
+
+
+def test_admissible_pair_matches_pair_loop():
+    rng = np.random.default_rng(79)
+    for trial in range(120):
+        n = int(rng.integers(1, 14))
+        g = gnp(n, float(rng.choice([0.3, 0.8, 1.0])), seed=8000 + trial)
+        s = rng.integers(1, 5, size=n)
+        total = int(s.sum())
+        ua, ub = (int(v) for v in rng.integers(1, total + 1, size=2))
+        inst = instance_from_graph(Graph.from_edges(n, list(g.edges()), vertex_size=s), 1, ua, 1, ub)
+        dense = inst.B.toarray()
+        ref = any(i != j and dense[i, j] == 0 and s[i] <= ua and s[j] <= ub for i in range(n) for j in range(n))
+        assert _admissible_pair(inst) == ref
+
+
 def _multistart_loop(inst, params, stats):
     """Start-by-start reference of the multistart search in solve_coarsest
     (without its exhaustive backstop for n <= 16)."""
@@ -556,18 +691,34 @@ def test_solve_coarsest_matches_start_loop():
         else:
             p = solve_coarsest(inst, params, stats=stats)
             assert np.array_equal(p.x, ref.x) and np.array_equal(p.y, ref.y)
-        # escape's work counters depend on how the rows share a stack; its escapes do not
-        assert stats.get("escapes", 0) == ref_stats.get("escapes", 0)
+        # a level without an admissible pair is refused before any start, so
+        # it escapes nothing; elsewhere escape's work counters depend on how
+        # the rows share a stack, and its escapes do not
+        refused = not _admissible_pair(inst)
+        assert ref is None or not refused
+        assert stats.get("escapes", 0) == (0 if refused else ref_stats.get("escapes", 0))
+
+
+def _own_rounding(inst, x, y):
+    """Whether round_to_binary returns the feasible point (x, y) unchanged:
+    it is binary with x.B.y = 0."""
+    binary = np.isin(x, (0.0, 1.0)).all() and np.isin(y, (0.0, 1.0)).all()
+    return bool(binary and x @ (inst.B @ y) == 0)
 
 
 def _spy_coarsest(monkeypatch):
-    """Record the rows escape hands solve_coarsest and every row it rounds,
-    with whether the rounding raised DegenerateRepairError."""
-    escaped, rounded = [], []
+    """Record the rows escape hands solve_coarsest (and whether each is its
+    own rounding) and every row it rounds, with whether the rounding raised
+    DegenerateRepairError."""
+    escaped, own, rounded = [], set(), []
 
     def spy_escape(inst, p, **kwargs):
         out = escape(inst, p, **kwargs)
-        escaped.extend(x.tobytes() + y.tobytes() for x, y in zip(out.x, out.y))
+        assert feasible(inst, out)
+        for x, y in zip(out.x, out.y):
+            escaped.append(x.tobytes() + y.tobytes())
+            if _own_rounding(inst, x, y):
+                own.add(escaped[-1])
         return out
 
     def spy_round(inst, p):
@@ -581,14 +732,16 @@ def _spy_coarsest(monkeypatch):
 
     monkeypatch.setattr("vsep.multilevel.escape", spy_escape)
     monkeypatch.setattr("vsep.multilevel.round_to_binary", spy_round)
-    return escaped, rounded
+    return escaped, own, rounded
 
 
 def test_solve_coarsest_rounds_each_distinct_start_once(monkeypatch):
     # an equal later row would round to the same point and objective, which
     # cannot beat the best so far, or fail as its twin did, so only the first
-    # of equal rows is rounded; on the last two instances every row fails
-    # and the search still ends in the same InfeasibleError
+    # of equal rows is rounded, and a binary orthogonal row is its own
+    # rounding; on the last two instances every row fails and the search
+    # still ends in the same InfeasibleError
+    owned = 0
     for g, lb in (
         (grid_graph(10, 10), 40), (gnp(40, 0.5, seed=3), 1), (grid_graph(10, 10), 44), (grid_graph(12, 12), 57),
     ):
@@ -597,7 +750,7 @@ def test_solve_coarsest_rounds_each_distinct_start_once(monkeypatch):
         assert inst.n > 16  # neither the exhaustive backstop nor the oracle answers
         ref = _multistart_loop(inst, params, {})
         with monkeypatch.context() as patch:
-            escaped, rounded = _spy_coarsest(patch)
+            escaped, own, rounded = _spy_coarsest(patch)
             if ref is None:
                 with pytest.raises(InfeasibleError, match="^no start reached a binary orthogonal point$"):
                     solve_coarsest(inst, params)
@@ -606,7 +759,27 @@ def test_solve_coarsest_rounds_each_distinct_start_once(monkeypatch):
                 assert p.x.tobytes() == ref.x.tobytes() and p.y.tobytes() == ref.y.tobytes()
         distinct = list(dict.fromkeys(escaped))
         assert len(distinct) < len(escaped) == params.multistarts  # the stack repeats rows
-        assert rounded == [(row, ref is None) for row in distinct]
+        assert rounded == [(row, ref is None) for row in distinct if row not in own]
+        owned += len(own)
+    assert owned  # some rows skip the rounding
+
+
+def test_solve_coarsest_does_not_round_binary_orthogonal_rows(monkeypatch):
+    found = 0
+    for trial, (g, la) in enumerate(
+        [(gnp(60, 0.08, seed=4100 + k), 1) for k in range(4)] + [(grid_graph(9, 9), 20), (empty_graph(40), 1)]
+    ):
+        params = SolveParams(la=la, lb=la, coarsest_size=24, multistarts=10, seed=trial)
+        inst = build_hierarchy(g, params).levels[-1].inst
+        assert inst.n > 12  # no exhaustive backstop
+        ref = _multistart_loop(inst, params, {})
+        with monkeypatch.context() as patch:
+            escaped, own, rounded = _spy_coarsest(patch)
+            p = solve_coarsest(inst, params)
+        assert p.x.tobytes() == ref.x.tobytes() and p.y.tobytes() == ref.y.tobytes()
+        assert not own & {row for row, _ in rounded}
+        found += len(own)
+    assert found
 
 
 # -------------------------------------------------------------------- solve
