@@ -25,7 +25,10 @@ noise``), whether the partitions agree (exit status 1 when they differ),
 each tree's median peak RSS (``ru_maxrss``) over its timing processes,
 and the call counters of one pass per tree under
 ``perfbench/tracing.py``: timing two trees that do different work
-compares more than their speed.  It then times set-up the same way:
+compares more than their speed.  Beside them, ``python.calls_per_pass``
+is cProfile's ``total_calls`` for one untraced pass after a warm pass: a
+count of Python-level calls that repeats exactly, where the timings
+carry noise.  It then times set-up the same way:
 alternating fresh interpreters of each tree, in the caller's environment,
 import vsep and load the workload's files, as perfbench's ``setup_s``
 does, and the script prints
@@ -36,10 +39,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import cProfile
 import hashlib
 import io
 import json
 import os
+import pstats
 import resource
 import subprocess
 import sys
@@ -115,7 +120,8 @@ def worker(mode: str, src: Path, listing: Path) -> None:
     ``digest``: one digest line per graph.  ``time``: the sum of per-graph
     best-of-REPEATS solve times, a digest of the partitions and the
     process's peak RSS in MB, as JSON.
-    ``trace``: the count metrics of one traced pass, as JSON.
+    ``trace``: the count metrics of one traced pass and
+    ``python.calls_per_pass``, as JSON.
     """
     vsep = _import("vsep", src)
     if Path(vsep.__file__).resolve().parent != src / "vsep":
@@ -145,7 +151,9 @@ def worker(mode: str, src: Path, listing: Path) -> None:
         with tracing.Tracer() as tracer:
             for _, path, lb in cases:
                 _solve(vsep, load(path), lb)
-        print(json.dumps({k: v for k, (v, unit) in tracer.layer_metrics().items() if unit == "count"}))
+        counts = {k: v for k, (v, unit) in tracer.layer_metrics().items() if unit == "count"}
+        counts["python.calls_per_pass"] = _calls_per_pass(vsep, [(load(path), lb) for _, path, lb in cases])
+        print(json.dumps(counts))
         return
     graphs = [load(path) for _, path, _ in cases]
     best = [float("inf")] * len(cases)
@@ -159,6 +167,19 @@ def worker(mode: str, src: Path, listing: Path) -> None:
                 digest.update(repr(part).encode())
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
     print(json.dumps({"solve_s": sum(best), "digest": digest.hexdigest(), "peak_rss_mb": peak_mb}))
+
+
+def _calls_per_pass(vsep, graphs: list) -> int:
+    """cProfile's ``total_calls`` for one untraced pass of the benchmark's
+    solves over ``graphs``, (graph, lb) pairs, taken after a warm pass."""
+    for g, lb in graphs:
+        _solve(vsep, g, lb)
+    profile = cProfile.Profile()
+    profile.enable()
+    for g, lb in graphs:
+        _solve(vsep, g, lb)
+    profile.disable()
+    return pstats.Stats(profile).total_calls
 
 
 def _run(mode: str, tree: Path, listing: Path) -> str:

@@ -435,8 +435,9 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product of each row of a with the same row of b, or with the vector b.
 
     Each row is summed on its own, so its value does not depend on how many
-    rows the stack has; a BLAS matrix-vector product gives no such promise."""
-    return (a * b).sum(axis=1)
+    rows the stack has; a BLAS matrix-vector product gives no such promise.
+    ``np.add.reduce`` runs the loop of ``.sum(axis=1)`` without its wrappers."""
+    return np.add.reduce(a * b, axis=1)
 
 
 def objective(inst: CbpInstance, p: Point, gamma: float) -> float | np.ndarray:
@@ -452,14 +453,14 @@ def feasible(inst: CbpInstance, p: Point) -> bool:
 
     ``p`` may also be a (rows, n) stack, which is feasible when every row is."""
     x, y = _stacked_arrays(inst, p)
-    lo = min(x.min(initial=0.0), y.min(initial=0.0))
-    hi = max(x.max(initial=1.0), y.max(initial=1.0))
+    lo = min(np.minimum.reduce(x, axis=None, initial=0.0), np.minimum.reduce(y, axis=None, initial=0.0))
+    hi = max(np.maximum.reduce(x, axis=None, initial=1.0), np.maximum.reduce(y, axis=None, initial=1.0))
     if lo < -EPS or hi > 1 + EPS:
         return False
     sx, sy = _rowdot(x, inst.s), _rowdot(y, inst.s)
     return bool(
-        inst.la - EPS <= sx.min() and sx.max() <= inst.ua + EPS
-        and inst.lb - EPS <= sy.min() and sy.max() <= inst.ub + EPS
+        inst.la - EPS <= np.minimum.reduce(sx) and np.maximum.reduce(sx) <= inst.ua + EPS
+        and inst.lb - EPS <= np.minimum.reduce(sy) and np.maximum.reduce(sy) <= inst.ub + EPS
     )
 
 
@@ -490,22 +491,22 @@ def solve_block_lp(g: Sequence[float], s: Sequence[float], l: int, u: int) -> np
     When two or more rows of a stack lie outside the bounds, those rows
     are sorted in one batch and the rows within the bounds are left out:
     for the small stacks that occur, one batched sort costs less than
-    sorting the rows one by one.  Non-integer sizes raise ValueError.
+    sorting the rows one by one.  Sizes other than integers >= 1 raise ValueError.
     """
     g = np.asarray(g, dtype=np.float64)
     s = np.ascontiguousarray(s, dtype=np.float64)
     if s.ndim != 1 or g.ndim not in (1, 2) or g.shape[-1:] != s.shape:
         raise DimensionMismatchError(f"g has shape {g.shape}, s has shape {s.shape}")
-    if not (np.floor(s) == s).all():
-        raise ValueError("sizes must be integers")
-    total = float(s.sum())
+    if not np.logical_and.reduce((s >= 1) & (np.floor(s) == s)):
+        raise ValueError("sizes must be integers >= 1")
+    total = float(np.add.reduce(s))
     if l < 0 or l > u or l > total:
         raise InfeasibleBoundsError(f"bounds l={l} u={u} unreachable with s total {total}")
 
     G = g if g.ndim == 2 else g[None]
     pos = G > 0
     P = np.dot(pos, s)  # summed in index order
-    hard = np.flatnonzero((P < l) | (P > u))
+    hard = ((P < l) | (P > u)).nonzero()[0]
     v = pos.astype(np.float64)  # the rows within the bounds are done
     if hard.size > 1:
         v[hard] = _sorted_fill(G[hard], P[hard], s, l, u)
@@ -517,21 +518,16 @@ def solve_block_lp(g: Sequence[float], s: Sequence[float], l: int, u: int) -> np
 
 def _sorted_fill(G: np.ndarray, P: np.ndarray, s: np.ndarray, l: int, u: int) -> np.ndarray:
     """The greedy fill of every row of G to clip(P, l, u) from a full sort of
-    the row, where P holds each row's size of positive items."""
-    rows, n = G.shape
+    the row, where P holds each row's size of positive items.  Each item
+    takes (fill - size ahead of it) / its size, bounded to [0, 1]: integer
+    sizes make the subtraction exact, and x - x gives +0.0, never -0.0."""
     order = np.argsort(G / -s, axis=1, kind="stable")  # ratio descending, ties by index
-    cums = np.zeros((rows, n + 1))  # cums[:, t]: size of the first t items; rises strictly
-    np.cumsum(s[order], axis=1, out=cums[:, 1:])
-    fill = np.minimum(np.maximum(P, l), u)
-    ones = cums[:, 1:] <= fill[:, None]  # a prefix of each row's order: the items that fit whole
-    r = np.arange(rows)
-    v = np.zeros((rows, n))
-    v[r[:, None], order] = ones
-    full = ones.sum(axis=1)
-    rest = fill - cums[r, full]  # the size left for the next item
-    part = np.flatnonzero(rest)  # with integer sizes, a fill that takes every item leaves no rest
-    item = order[part, full[part]]
-    v[part, item] = rest[part] / s[item]
+    sized = s[order]
+    before = sized.cumsum(axis=1)
+    before -= sized
+    share = (np.minimum(np.maximum(P, l), u)[:, None] - before) / sized
+    v = np.empty(G.shape)
+    v[np.arange(len(G))[:, None], order] = np.maximum(np.minimum(share, 1.0), 0.0)
     return v
 
 
@@ -597,13 +593,14 @@ def refine(inst: CbpInstance, p: Point, gamma: float | np.ndarray) -> Point:
         f_x = _rowdot(gx, x_new) + _rowdot(y, c)
         _check_step(f_prev, f_x)
         if not first:  # y already answers an x equal to the last sweep's
-            done = (x_new == x).all(axis=1)
-            if done.any():
+            done = np.logical_and.reduce(x_new == x, axis=1)
+            if np.logical_or.reduce(done):
                 out_x[live[done]], out_y[live[done]] = x_new[done], y[done]
-                if done.all():
+                if np.logical_and.reduce(done):
                     break
+                keep = (~done).nonzero()[0]
                 live, x_new, y, gammas, f_prev, f_x = (
-                    a[~done] for a in (live, x_new, y, gammas, f_prev, f_x)
+                    a.take(keep, axis=0) for a in (live, x_new, y, gammas, f_prev, f_x)
                 )
         first = False
         x = x_new
@@ -613,13 +610,14 @@ def refine(inst: CbpInstance, p: Point, gamma: float | np.ndarray) -> Point:
         f_y = _rowdot(gy, y_new) + _rowdot(x, c)
         _check_step(f_x, f_y)
 
-        done = (f_y - f_prev <= EPS) | (y_new == y).all(axis=1)
+        done = (f_y - f_prev <= EPS) | np.logical_and.reduce(y_new == y, axis=1)
         y = y_new
-        if done.any():
+        if np.logical_or.reduce(done):
             out_x[live[done]], out_y[live[done]] = x[done], y[done]
-            if done.all():
+            if np.logical_and.reduce(done):
                 break
-            live, x, y, gammas, f_y = (a[~done] for a in (live, x, y, gammas, f_y))
+            keep = (~done).nonzero()[0]
+            live, x, y, gammas, f_y = (a.take(keep, axis=0) for a in (live, x, y, gammas, f_y))
         f_prev = f_y
         by = inst.bdot(y)
     return _shaped_like(p, out_x, out_y)
@@ -628,7 +626,7 @@ def refine(inst: CbpInstance, p: Point, gamma: float | np.ndarray) -> Point:
 def _check_step(before: np.ndarray, after: np.ndarray) -> None:
     """Raise MonotonicityError unless after >= before - EPS on every row."""
     fell = after < before - EPS
-    if fell.any():
+    if np.logical_or.reduce(fell):
         i = int(np.argmax(fell))
         raise MonotonicityError(f"objective fell from {before[i]!r} to {after[i]!r}")
 
@@ -826,11 +824,13 @@ def escape(
     point and objective bits, would lose them too and then walk as the
     holder does.  A call with one row keeps no holders: its row meets no
     other row, and never returns to a point it left, as every accept
-    raises its objective.  Within a round each distinct probe point is
-    re-refined once, and the call remembers the objective at gamma0 of
-    every point it re-refined: a known point that cannot beat its rows'
-    objectives is not re-refined again.  This rests on ``refine`` and
-    ``objective`` giving each row the same bits in any stack.
+    raises its objective.  Within a round each distinct probe point, keyed
+    by its x and y bytes (read for the whole round from one array), is
+    re-refined once, from its first probe, and the call remembers the
+    objective at gamma0 of every point it re-refined: a known point that
+    cannot beat its rows' objectives is not re-refined again.  This rests
+    on ``refine`` and ``objective`` giving each row the same bits in any
+    stack.
     """
     K = int(gamma_steps)
     x, y = _stacked_arrays(inst, p)
@@ -862,26 +862,31 @@ def escape(
         probe = refine(inst, Point(x[src], y[src]), gamma0 * (1.0 - step / K))
         probes += src.size
         k[live] += width
-        seen: dict[bytes, int] = {}  # each distinct probe point's slot
-        keys = (px.tobytes() + py.tobytes() for px, py in zip(probe.x, probe.y))
+        both = np.concatenate((probe.x, probe.y), axis=1)  # row i's bytes: x.tobytes() + y.tobytes()
+        # one void item per row, whose tolist() is those bytes; at n = 0 there is none to view
+        keys = both.view(np.dtype((np.void, both.itemsize * inst.n * 2))).ravel().tolist() if inst.n else [b""] * len(both)
+        seen: dict[bytes, int] = {}  # each distinct probe point's slot, numbered as first met
         slot = np.array([seen.setdefault(key, len(seen)) for key in keys])
         f_slot = np.array([known.get(key, np.inf) for key in seen])  # inf: not yet known
         bar = f_curr[src] + EPS
         redo = np.zeros(len(seen), dtype=bool)
         redo[slot[f_slot[slot] > bar]] = True  # unknown, or known to win for a row
         if redo.any():
-            picked = np.unique(slot, return_index=True)[1][redo]  # a probe of each slot to redo
+            # slot j's first probe is where slot's running maximum first reaches j
+            picked = np.maximum.accumulate(slot).searchsorted(redo.nonzero()[0])
             back = refine(inst, Point(probe.x[picked], probe.y[picked]), gamma0)
             rerefines += picked.size
             f_slot[redo] = objective(inst, back, gamma0)
             known.update(zip(compress(seen, redo.tolist()), f_slot[redo].tolist()))
-        better = f_slot[slot] > bar
-        won, first = np.unique(src[better], return_index=True)  # each row's first win
-        if won.size:
+        at = (f_slot[slot] > bar).nonzero()[0]
+        hit = src[at]  # ascending, as src is
+        first = at[hit.searchsorted(hit) == np.arange(at.size)]  # each row's first win
+        if first.size:
+            won = src[first]
             for r in won.tolist() if shared else []:
                 del holder[x[r].tobytes() + y[r].tobytes()]
-            b = slot[better][first]
-            back_row = np.cumsum(redo)[b] - 1
+            b = slot[first]
+            back_row = redo.cumsum()[b] - 1
             x[won], y[won], f_curr[won] = back.x[back_row], back.y[back_row], f_slot[b]
             escapes += int(weight[won].sum())
             k[won] = 1

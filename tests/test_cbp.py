@@ -268,6 +268,72 @@ def test_lp_rejects_non_integer_sizes():
         solve_block_lp(np.ones((2, 2)), [1.0, np.nan], 0, 1)
 
 
+@pytest.mark.parametrize("sizes", [[1, 0, 1], [0, 0, 0], [-1, 2, 2], [1, -3, 1], [1, 0.5, 1], [2, 1.5, -0.5]])
+def test_lp_rejects_sizes_below_one(sizes):
+    # a size of 0 divided by zero; with s = [-1, 2, 2] and u = 1 the answer was
+    # [0, 0, 0.5], scoring 1.5 where [1, 0, 1] fits and scores 4
+    for g in ([1.0, 2, 3], [[1.0, 2, 3], [-1.0, 2, 2], [0.0, 0, 0]]):
+        with pytest.raises(ValueError, match="sizes must be integers >= 1"):
+            solve_block_lp(g, sizes, 0, 1)
+
+
+def _edge_block_lps(rng, count):
+    """Stacks of all-zero, all-negative, ratio-tied and random gain rows
+    over unit and non-unit sizes, with fill == total, l raised above P, u
+    below P, and random bounds."""
+    for trial in range(count):
+        n = int(rng.integers(1, 60))
+        s = np.ones(n) if trial % 2 else rng.integers(1, 6, size=n).astype(float)
+        total = int(s.sum())
+        rows = [
+            np.zeros(n),
+            -rng.integers(1, 4, size=n) * rng.choice([1.0, 0.25]),
+            s * rng.integers(-2, 3, size=n),  # ratios -2..2, each shared by many items
+            s * rng.choice([1.0, 2.0], size=n) / 3,  # positive ties that do not divide exactly
+            np.round(rng.normal(size=n), 1),
+        ]
+        G = np.stack([rows[i] for i in rng.integers(len(rows), size=int(rng.integers(2, 9)))])
+        kind = trial % 4
+        if kind == 0:
+            l = u = total  # every item whole
+        elif kind == 1:
+            l = int(rng.integers(total // 2, total + 1))  # raised l: the fill goes past the positives
+            u = int(rng.integers(l, total + 1))
+        elif kind == 2:
+            l, u = 0, int(rng.integers(0, max(total // 4, 1)))  # u below the positives' size
+        else:
+            l = int(rng.integers(0, total + 1))
+            u = int(rng.integers(l, total + 1))
+        yield G, s, l, u
+
+
+def test_lp_stack_bits_equal_item_loop_on_edge_rows(monkeypatch):
+    batched = []
+    sorted_fill = cbp._sorted_fill
+    monkeypatch.setattr(cbp, "_sorted_fill", lambda G, *args: batched.append(len(G)) or sorted_fill(G, *args))
+    rng = np.random.default_rng(83)
+    for G, s, l, u in _edge_block_lps(rng, 400):
+        V = solve_block_lp(G, s, l, u)
+        _assert_rows_match_item_loop(V, G, s, l, u)
+        assert not np.signbit(V).any()  # no -0.0
+    assert len(batched) > 200  # most stacks took the batched fill
+
+
+def test_rowdot_sums_each_row_as_sum_does():
+    rng = np.random.default_rng(89)
+    # pairwise summation changes its blocking at 8 and 128 terms
+    for n in (1, 7, 8, 9, 127, 128, 129, 300, 1000):
+        a = rng.normal(size=(6, n)) * 10.0 ** rng.integers(-8, 9, size=(6, 1))
+        for b in (rng.normal(size=(6, n)), rng.normal(size=n)):
+            got = cbp._rowdot(a, b)
+            assert got.tobytes() == (a * b).sum(axis=1).tobytes()
+            stacked = cbp._rowdot(np.concatenate([a, a[::-1]]), np.concatenate([b, b[::-1]]) if b.ndim == 2 else b)
+            for i in range(len(a)):
+                alone = cbp._rowdot(a[i : i + 1], b[i : i + 1] if b.ndim == 2 else b)
+                assert alone.tobytes() == got[i : i + 1].tobytes() == stacked[i : i + 1].tobytes()
+                assert stacked[len(a) + i : len(a) + i + 1].tobytes() == got[len(a) - 1 - i : len(a) - i].tobytes()
+
+
 def test_lp_infeasible_bounds():
     with pytest.raises(InfeasibleBoundsError):
         solve_block_lp([1, 1], [1, 1], 3, 4)
@@ -740,6 +806,35 @@ def test_escape_counts_its_probe_and_re_refine_rows(monkeypatch):
         _escape_loop(inst, q, 10, events)
     escapes = sum(_escape_loop(inst, Point(*q), 10)[1] for q in zip(starts.x, starts.y))
     assert walked["probes"] == len(events) and walked["escapes"] == first["escapes"] == escapes
+
+
+def test_escape_stress_matches_point_loop():
+    # rows * n <= 180 cells, so the first round probes every step of every row
+    rng = np.random.default_rng(97)
+    repeated = staggered = 0
+    for call in range(200):
+        n = int(rng.integers(6, 31))
+        inst = _tied_instance(rng, n) if call % 2 else _costed_instance(rng, n)
+        distinct = [refine(inst, random_fractional_point(inst, rng), inst.gamma0) for _ in range(int(rng.integers(1, 5)))]
+        starts = [distinct[i] for i in rng.integers(len(distinct), size=int(rng.integers(2, 7)))]
+        steps = int(rng.integers(2, 11))
+        stats: dict = {}
+        out = escape(inst, _stack(starts), gamma_steps=steps, stats=stats)
+        escapes, first_wins = 0, set()
+        for i, q in enumerate(starts):
+            events = []
+            ref, row_escapes = _escape_loop(inst, q, steps, events)
+            assert out.x[i].tobytes() == ref.x.tobytes() and out.y[i].tobytes() == ref.y.tobytes()
+            escapes += row_escapes
+            if True in events:
+                first_wins.add(events.index(True))
+        assert stats["escapes"] == escapes
+        repeated += len({q.x.tobytes() + q.y.tobytes() for q in starts}) < len(starts)
+        staggered += len(first_wins) > 1  # rows of one round won at different steps
+    assert repeated >= 100 and staggered >= 20
+    empty = CbpInstance(0, np.zeros((0, 0)), [], [], 0, 0, 0, 0)
+    none = Point(np.zeros((2, 0)), np.zeros((2, 0)))
+    assert escape(empty, none).x.shape == (2, 0)
 
 
 def _scipy_product(B, v):

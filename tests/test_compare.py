@@ -129,6 +129,25 @@ def test_time_worker_reports_its_peak_rss(tmp_path):
     assert 10 < out["peak_rss_mb"] < 4096  # numpy and scipy alone take tens of MB
 
 
+def test_trace_worker_counts_python_calls_that_repeat(tmp_path):
+    # the 12x12 grid takes the multilevel path, P5 the oracle, and K4 fails
+    paths = [tmp_path / "p5.graph", tmp_path / "k4.graph", ROOT / "tests" / "data" / "grid12.graph"]
+    paths[0].write_text(P5_METIS)
+    paths[1].write_text(K4_METIS)
+    listing = tmp_path / "cases.json"
+    listing.write_text(json.dumps([[path.stem, str(path), SolveParams.lb] for path in paths]))
+    counts = []
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, "-B", str(SCRIPT), "--worker", "trace", str(ROOT / "src"), str(listing)],
+            capture_output=True, text=True, check=True,
+        )
+        out = json.loads(proc.stdout)
+        assert out["cbp.refine_calls"] > 0
+        counts.append(out["python.calls_per_pass"])
+    assert counts[0] == counts[1] > 0
+
+
 def test_setup_pairs_print_their_verdict(tmp_path, monkeypatch, capsys):
     compare = _compare()
     listing = tmp_path / "cases.json"
