@@ -13,8 +13,10 @@ Without ``--workload`` each tree runs ``vsep solve FILE --lb LB --output
 json`` on the 130 perfbench graphs, with the run-dependent
 ``wall_time_sec`` and ``input_path`` dropped.  One tree prints ``name exit
 sha256(stdout) sha256(stderr)`` per graph and a ``combined`` digest last.
-With ``--base`` it prints both combined digests, every graph whose line
-differs, and ``outputs: equal`` or ``outputs: DIFFER`` (exit status 1).
+With ``--base`` it prints both combined digests, each beside its tree's
+``src/vsep`` line count (as ``wc -l src/vsep/*.py`` counts it), every
+graph whose line differs, and ``outputs: equal`` or ``outputs: DIFFER``
+(exit status 1).
 
 With ``--workload`` (and ``--base``) the trees run in alternating pairs
 of processes; each reports the sum of each graph's fastest of three
@@ -250,14 +252,19 @@ def pair_summary(base: list[float], head: list[float]) -> list[str]:
     ]
 
 
+def _source_lines(tree: Path) -> int:
+    """The number of lines in ``tree``'s ``src/vsep/*.py``."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "vsep").glob("*.py"))
+
+
 def _digests(trees: dict[str, Path], listing: Path) -> int:
     lines = {name: _run("digest", tree, listing).splitlines() for name, tree in trees.items()}
     combined = {name: f"combined {_sha(chr(10).join(tree_lines))}" for name, tree_lines in lines.items()}
     if "base" not in trees:
         print(*lines["head"], combined["head"], sep="\n")
         return 0
-    for name in trees:
-        print(f"{name}: {combined[name]}")
+    for name, tree in trees.items():
+        print(f"{name}: {combined[name]}  src/vsep {_source_lines(tree)} lines")
     for base, head in zip(lines["base"], lines["head"]):
         if base != head:
             print(f"base {base}\nhead {head}")

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, _ensure_valid, _ranges
+from .graphs import Graph, _ensure_valid, _ranges, _sealed
 
 EPS = 1e-9
 
@@ -34,13 +34,6 @@ _PROBE_CELLS = 4096
 _RECENT_NNZ = 4096
 _RECENT = 4
 _PATCH_SHARE = 4
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """A view of ``arr``, which must own its memory, after making ``arr``
-    read-only: ``setflags(write=True)`` cannot unlock the view."""
-    arr.setflags(write=False)
-    return arr.view()
 
 
 class DimensionMismatchError(ValueError):
@@ -76,18 +69,19 @@ class CsrMatrix:
     ``data[e] * v[indices[e]]`` in storage order, starting from 0, as
     scipy's CSR product does, so the two give the same bits.
 
-    The constructor keeps read-only copies of the arrays and checks that
-    form in O(nnz); ``from_entries`` builds it from unordered entries.
-    Every array is a view of a read-only array, which ``setflags(write=True)``
-    cannot unlock, so a ``_symmetric`` mark stays true of the matrix.
+    The constructor checks that form in O(nnz); ``from_entries`` builds it
+    from unordered entries.  Every array is a read-only copy over immutable
+    ``bytes`` (``graphs._sealed``): neither it nor its base can be unlocked
+    by ``setflags(write=True)``, so a ``_symmetric`` mark stays true of the
+    matrix.
     """
 
     __slots__ = ("data", "indices", "indptr", "shape", "rows", "_symmetric")
 
     def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int]):
-        data = np.array(data, dtype=np.float64)
-        indices = np.array(indices, dtype=np.int64)
-        indptr = np.array(indptr, dtype=np.int64)
+        data = np.asarray(data, dtype=np.float64)
+        indices = np.asarray(indices, dtype=np.int64)
+        indptr = np.asarray(indptr, dtype=np.int64)
         shape = (int(shape[0]), int(shape[1]))
         if indptr.shape != (shape[0] + 1,) or indptr[0] != 0 or np.any(np.diff(indptr) < 0):
             raise ValueError(f"indptr must rise from 0 in {shape[0] + 1} steps")
@@ -102,11 +96,10 @@ class CsrMatrix:
             raise ValueError(f"the columns of row {self.rows[e]} must ascend without repeats")
 
     def _own(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray, shape: tuple[int, int], symmetric: bool) -> None:
-        """Take arrays already in the canonical form that own their memory,
-        unchecked and uncopied, as read-only views."""
-        self.data, self.indices, self.indptr = _frozen(data), _frozen(indices), _frozen(indptr)
+        """Take sealed copies of arrays already in the canonical form, unchecked."""
+        self.data, self.indices, self.indptr = _sealed(data), _sealed(indices), _sealed(indptr)
         self.shape = shape
-        self.rows = _frozen(np.repeat(np.arange(shape[0]), np.diff(indptr)))  # the row of each entry
+        self.rows = _sealed(np.repeat(np.arange(shape[0]), np.diff(indptr)))  # the row of each entry
         self._symmetric = symmetric  # set once a CbpInstance has checked it, or when built symmetric
 
     @classmethod
@@ -289,11 +282,13 @@ class _RecentProducts:
 class CbpInstance:
     """One level's bilinear program data.
 
-    Costs are integers >= 0 and sizes integers >= 1, kept as read-only
-    float64 copies.  ``B`` is symmetric with integer entries >= 1 on its
-    diagonal and on exactly the interaction (edge/aggregate) structure; it
-    may be given as a ``CsrMatrix``, a dense array or a scipy sparse
-    matrix, and is kept as a ``CsrMatrix``.  ``gamma0`` is max(c), or 1
+    Costs are integers >= 0 and sizes integers >= 1, kept as sealed
+    float64 copies (``graphs._sealed``).  ``B`` is symmetric with integer
+    entries >= 1 on its diagonal and on exactly the interaction
+    (edge/aggregate) structure; it may be given as a ``CsrMatrix``, a dense
+    array or a scipy sparse matrix, and is kept as a ``CsrMatrix``.  The
+    costs, the sizes and the entries of ``B`` each sum below 2**53, so
+    float64 adds them exactly on every level.  ``gamma0`` is max(c), or 1
     when every cost is 0: the penalty must stay positive to keep x and y
     apart.
     """
@@ -311,7 +306,7 @@ class CbpInstance:
     def __post_init__(self):
         B = _as_csr(self.B)
         object.__setattr__(self, "B", B)
-        c, s = _frozen(np.array(self.c, dtype=np.float64)), _frozen(np.array(self.s, dtype=np.float64))
+        c, s = _sealed(np.asarray(self.c, dtype=np.float64)), _sealed(np.asarray(self.s, dtype=np.float64))
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "s", s)
         if B.shape != (self.n, self.n):
@@ -324,6 +319,9 @@ class CbpInstance:
             raise ValueError("sizes must be integers >= 1")
         if np.any(B.data < 1) or np.any(np.floor(B.data) != B.data):
             raise ValueError("B entries must be integers >= 1")
+        for name, arr in (("costs", c), ("sizes", s), ("B entries", B.data)):
+            if arr.sum() >= 2.0**53:  # else every sum of them, on any level, is exact
+                raise ValueError(f"{name} must sum below 2**53")
         if np.count_nonzero(B.rows == B.indices) != self.n:
             raise ValueError("B diagonal must be >= 1")
         if not B._symmetric:

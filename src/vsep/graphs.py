@@ -105,17 +105,15 @@ class Graph:
 
         ``edges`` is an iterable of tuples or an integer array of shape
         (m, 2) or (m, 3). Raises ValueError on self-loops, duplicate edges,
-        out-of-range endpoints, or nonpositive weights, naming the first
-        offending edge.
+        out-of-range endpoints, nonpositive weights or non-integral values,
+        naming the first offending edge or value.
         """
         if isinstance(edges, np.ndarray):
-            arr = edges.astype(np.int64, copy=False)
-            if arr.ndim != 2 or arr.shape[1] not in (2, 3):
+            if edges.ndim != 2 or edges.shape[1] not in (2, 3):
                 raise ValueError(f"edge array has shape {edges.shape}, expected (m, 2) or (m, 3)")
+            arr = _int_array(edges, "edges")
         else:
-            arr = np.array(
-                [(e[0], e[1], e[2] if len(e) > 2 else 1) for e in edges], dtype=np.int64
-            ).reshape(-1, 3)
+            arr = _int_array([(e[0], e[1], e[2] if len(e) > 2 else 1) for e in edges], "edges").reshape(-1, 3)
         u, v = arr[:, 0], arr[:, 1]
         w = arr[:, 2] if arr.shape[1] == 3 else np.ones(len(arr), dtype=np.int64)
 
@@ -135,8 +133,8 @@ class Graph:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
 
-        cost = np.ones(n, dtype=np.int64) if vertex_cost is None else _int_array(vertex_cost)
-        size = np.ones(n, dtype=np.int64) if vertex_size is None else _int_array(vertex_size)
+        cost = np.ones(n, dtype=np.int64) if vertex_cost is None else _int_array(vertex_cost, "vertex_cost")
+        size = np.ones(n, dtype=np.int64) if vertex_size is None else _int_array(vertex_size, "vertex_size")
         if cost.shape != (n,) or size.shape != (n,):
             raise ValueError("vertex_cost/vertex_size must have length n")
         if np.any(cost < 0):
@@ -152,11 +150,16 @@ def _sealed(arr: np.ndarray) -> np.ndarray:
     return np.frombuffer(arr.tobytes(), dtype=arr.dtype).reshape(arr.shape)
 
 
-def _int_array(values: Iterable[int]) -> np.ndarray:
-    """``values`` as a new int64 array."""
-    if not isinstance(values, np.ndarray):
-        values = list(values)
-    return np.array(values, dtype=np.int64)
+def _int_array(values: Iterable, name: str) -> np.ndarray:
+    """``values`` as an int64 array; ValueError naming the first entry (a
+    row of a matrix) that holds a float an int64 cannot equal."""
+    arr = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+    if arr.dtype.kind == "f":
+        bad = ~(np.abs(arr) < 2.0**63) | (np.floor(arr) != arr)
+        if bad.any():
+            k = int(np.argwhere(bad)[0, 0])
+            raise ValueError(f"{name}[{k}] = {arr[k].tolist()} is not integral")
+    return arr.astype(np.int64, copy=False)
 
 
 def _first_fault(faults: list[tuple[np.ndarray, str]]) -> tuple[int, str] | None:
@@ -641,8 +644,7 @@ def load_metis(path: str | Path) -> Graph:
         raise parse_fault
 
     # neighbours are distinct, so the lines mirror each other iff the sorted
-    # (u, v, w) and (v, u, w) records agree; v and w go to Graph._built, which
-    # needs arrays that own their memory: they are kept or sorted, never sliced
+    # (u, v, w) and (v, u, w) records agree
     if order is not None:
         keys, u, v, w = keys[order], u[order], v[order], w[order]
     mirror = v * n + u

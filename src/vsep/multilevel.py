@@ -271,15 +271,6 @@ def _binary_sides(s: np.ndarray, l: int, u: int, rngs: list[np.random.Generator]
     return v, target - room >= l
 
 
-def _random_binary_side(
-    s: np.ndarray, l: int, u: int, rng: np.random.Generator
-) -> np.ndarray | None:
-    """``_binary_sides`` for one generator: its side, or None when the items
-    taken fall short of l."""
-    v, ok = _binary_sides(s, l, u, [rng])
-    return v[0] if ok[0] else None
-
-
 def _random_starts(inst: CbpInstance, rngs: list[np.random.Generator]) -> Point:
     """One feasible start per generator, as a stack: each side is the first
     of 32 greedy binary draws that meets its bounds, else the block-LP
@@ -300,12 +291,6 @@ def _random_starts(inst: CbpInstance, rngs: list[np.random.Generator]) -> Point:
             v[todo] = solve_block_lp(np.array([rngs[i].random(inst.n) for i in todo]), inst.s, l, u)
         sides.append(v)
     return Point(sides[0], sides[1])
-
-
-def _random_start(inst: CbpInstance, rng: np.random.Generator) -> Point:
-    """``_random_starts`` for one generator."""
-    p = _random_starts(inst, [rng])
-    return Point(p.x[0], p.y[0])
 
 
 def _admissible_pair(inst: CbpInstance) -> bool:

@@ -1,14 +1,14 @@
-"""Exhaustive reference solvers for tests and verification.
+"""Exhaustive reference solver for tests and verification.
 
-Both routines enumerate every candidate without pruning so that their
-correctness is self-evident; they are meant for tiny inputs only.
+It enumerates every candidate without pruning so that its correctness is
+self-evident; it is meant for tiny inputs only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cbp import CbpInstance, InfeasibleBoundsError, Partition
+from .cbp import CbpInstance, Partition
 
 
 class TooLargeError(ValueError):
@@ -92,57 +92,3 @@ def brute_force_vsp(inst: CbpInstance) -> Partition | None:
         s=tuple(int(i) for i in np.flatnonzero(best_digits == 2)),
         separator_weight=best_w,
     )
-
-
-_LP_CAP = 12
-
-
-def brute_force_lp(g, s, l: int, u: int) -> tuple[float, np.ndarray]:
-    """Exact box-and-sum LP maximum by enumerating every polytope vertex.
-
-    Candidates are all binary vectors inside the sum bounds plus, for each
-    binary pattern and coordinate, the vector whose free coordinate lands
-    the sum exactly on l or u.  Returns (value, maximizer); ties keep the
-    first candidate in enumeration order.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    n = g.size
-    if n > _LP_CAP:
-        raise TooLargeError(f"n={n} exceeds the exhaustive cap {_LP_CAP}")
-    if l < 0 or l > u or l > float(s.sum()):
-        raise InfeasibleBoundsError(f"bounds l={l} u={u} unreachable")
-
-    patterns = np.arange(2**n, dtype=np.int64)
-    bits = ((patterns[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
-    sums = bits @ s
-    vals = bits @ g
-
-    best_val = -np.inf
-    best_vec: np.ndarray | None = None
-    inside = (sums >= l) & (sums <= u)
-    if inside.any():
-        idx = np.flatnonzero(inside)
-        k = idx[np.argmax(vals[idx])]
-        best_val = float(vals[k])
-        best_vec = bits[k].copy()
-
-    for i in range(n):
-        base_sum = sums - bits[:, i] * s[i]
-        base_val = vals - bits[:, i] * g[i]
-        for bound in (l, u):
-            vi = (bound - base_sum) / s[i]
-            valid = (vi > 0.0) & (vi < 1.0)
-            if not valid.any():
-                continue
-            cand = base_val + g[i] * vi
-            idx = np.flatnonzero(valid)
-            k = idx[np.argmax(cand[idx])]
-            if cand[k] > best_val:
-                best_val = float(cand[k])
-                best_vec = bits[k].copy()
-                best_vec[i] = vi[k]
-
-    if best_vec is None:
-        raise InfeasibleBoundsError(f"no vertex satisfies l={l}, u={u}")
-    return best_val, best_vec

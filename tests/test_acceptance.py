@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import empty_graph, gnp, path_graph, random_fractional_point
+from conftest import brute_force_lp, empty_graph, gnp, path_graph, random_fractional_point
 from vsep.cbp import (
     escape,
     feasible,
@@ -24,7 +24,7 @@ from vsep.cbp import (
 from vsep.cli import main
 from vsep.graphs import load_matrix_market
 from vsep.multilevel import InfeasibleError, SolveParams, build_hierarchy, prolong, solve
-from vsep.oracle import brute_force_lp, brute_force_vsp
+from vsep.oracle import brute_force_vsp
 
 EPS = 1e-9
 

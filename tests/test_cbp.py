@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    brute_force_lp,
     complete_graph,
     default_instance,
     empty_graph,
@@ -13,6 +14,7 @@ from conftest import (
     grid_graph,
     path_graph,
     random_fractional_point,
+    unlockable,
 )
 import scipy.sparse as sp
 
@@ -39,7 +41,7 @@ from vsep.cbp import (
 )
 from vsep.graphs import Graph
 from vsep.multilevel import Level, SolveParams, ascending_degree_order, build_hierarchy, contract, heavy_edge_matching
-from vsep.oracle import brute_force_lp, brute_force_vsp
+from vsep.oracle import brute_force_vsp
 
 EPS = 1e-9
 
@@ -104,6 +106,10 @@ def test_instance_rejects_mismatched_dimensions():
         {"B": lambda: cbp.CsrMatrix([0.5, 0.5, 1, 1, 1, 1, 1, 1], [0, 0, 1, 0, 1, 2, 1, 2], [0, 3, 6, 8], (3, 3)), "match": "row 0 must ascend"},
         {"B": lambda: cbp.CsrMatrix(np.ones(7), [0, 1, 0, 1, 2, 1, 3], [0, 2, 5, 7], (3, 3)), "match": "column indices"},
         {"B": lambda: cbp.CsrMatrix(np.ones(7), [0, 1, 0, 1, 2, 1, 2], [0, 5, 2, 7], (3, 3)), "match": "indptr"},
+        # sums that float64 could round
+        {"c": np.array([2.0**52, 2.0**52, 0]), "match": r"costs must sum below 2\*\*53"},
+        {"s": np.array([2.0**52, 2.0**52, 1]), "match": r"sizes must sum below 2\*\*53"},
+        {"B": np.array([[2.0**52, 1, 0], [1, 2.0**52 - 2, 1], [0, 1, 1]]), "match": r"B entries must sum below 2\*\*53"},
     ],
 )
 def test_instance_rejects_bad_data(change):
@@ -135,18 +141,22 @@ def test_instance_keeps_copies_of_the_callers_costs_and_sizes():
 
 
 def test_no_csr_array_can_be_unlocked():
+    # neither an array nor any array along its .base chain
+    n, B_scipy, c, s = _p3_data()
     B = cbp.CsrMatrix(np.ones(7), [0, 1, 0, 1, 2, 1, 2], [0, 2, 5, 7], (3, 3))
+    instances = [
+        instance_from_graph(path_graph(3), 1, 1, 1, 1),
+        CbpInstance(n, B_scipy, c, s, 1, 1, 1, 1),
+        CbpInstance(n, B_scipy.toarray(), c.tolist(), s.tolist(), 1, 1, 1, 1),
+    ]
     matrices = [
         B,
         cbp.CsrMatrix.from_entries(np.array([2, 0, 1, 0]), np.array([0, 1, 2, 1]), np.ones(4), (3, 3)),
         B.contracted(np.array([0, 0, 1]), 2),
-        instance_from_graph(path_graph(3), 1, 1, 1, 1).B,
+        *(inst.B for inst in instances),
     ]
-    for M in matrices:
-        for arr in (M.data, M.indices, M.indptr, M.rows):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr.setflags(write=True)
+    assert [unlockable(M, ("data", "indices", "indptr", "rows")) for M in matrices] == [[]] * len(matrices)
+    assert [unlockable(inst, ("c", "s")) for inst in instances] == [[]] * len(instances)
 
 
 def test_instance_from_graph_validates_graphs_it_did_not_build(monkeypatch):

@@ -189,6 +189,14 @@ def test_solve_huge_sizes_fast(tmp_path, capsys):
     assert "separator: 3\n" in out and "separator_weight: 1\n" in out
 
 
+def test_solve_costs_float64_would_round_exit_2(tmp_path, capsys):
+    # P3 whose middle vertex costs 2**53 + 1 (fmt 10: a cost before each neighbour list)
+    f = write(tmp_path, "p3.graph", f"3 2 10\n1 2\n{2**53 + 1} 1 3\n1 2\n")
+    code, out, err = run(capsys, "solve", str(f))
+    assert (code, out) == (2, "")
+    assert "costs must sum below 2**53" in err
+
+
 def test_solve_zero_cost_path_exit_0(tmp_path, capsys):
     # P20 with every vertex weight 0 (fmt 10: a cost before each neighbour list)
     rows = [" ".join(["0"] + [str(j + 1) for j in (i - 1, i + 1) if 0 <= j < 20]) for i in range(20)]

@@ -47,6 +47,25 @@ def test_digest_worker_prints_one_line_per_graph(tmp_path):
     assert lines[2] == lines[0]  # the input path is not part of the digest
 
 
+def test_digests_print_each_trees_line_count(tmp_path, monkeypatch, capsys):
+    compare = _compare()
+    trees = {"base": tmp_path / "base", "head": tmp_path / "head"}
+    for tree, files in zip(trees.values(), [{"a.py": "1\n2\n3\n", "b.py": "4\n"}, {"a.py": "1\n2\n"}]):
+        (tree / "src" / "vsep").mkdir(parents=True)
+        for name, text in files.items():
+            (tree / "src" / "vsep" / name).write_text(text)
+    (trees["head"] / "src" / "vsep" / "notes.txt").write_text("not\ncounted\n")
+    lines = {"base": "g 0 aa bb", "head": "g 0 aa bb"}
+    monkeypatch.setattr(compare, "_run", lambda mode, tree, listing: lines[tree.name] + "\n")
+    assert compare._digests(trees, tmp_path / "cases.json") == 0
+    combined = compare._sha("g 0 aa bb")
+    assert capsys.readouterr().out.splitlines() == [
+        f"base: combined {combined}  src/vsep 4 lines",
+        f"head: combined {combined}  src/vsep 2 lines",
+        "outputs: equal",
+    ]
+
+
 def test_pair_summary_on_fixed_numbers():
     base = [1.0, 2.0, 3.0, 4.0]
     head = [0.5, 2.5, 2.0, 3.0]

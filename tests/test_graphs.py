@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import cycle_graph, gnp, path_graph
+from conftest import cycle_graph, gnp, path_graph, unlockable
 from vsep.graphs import (
     AsymmetryError,
     Graph,
@@ -821,6 +821,35 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(2, [(0, 1)], vertex_size=[1, 0])
 
 
+@pytest.mark.parametrize("as_array", [False, True])
+@pytest.mark.parametrize(
+    "edges, extra, match",
+    [
+        ([(0, 1.7, 1), (1, 2, 1)], {}, r"edges\[0\] = \[0\.0, 1\.7, 1\.0\] is not integral"),
+        ([(0, 1, 1), (1, 2, 2.5)], {}, r"edges\[1\] = \[1\.0, 2\.0, 2\.5\] is not integral"),
+        ([(0, 1, 1), (1, 2, np.nan)], {}, r"edges\[1\] = \[1\.0, 2\.0, nan\]"),
+        ([(0, 1, 1), (1, 2, 2.0**63)], {}, r"edges\[1\]"),  # integral, but beyond int64
+        ([(0, 1), (1, 2)], {"vertex_cost": [1, 1.5, 2]}, r"vertex_cost\[1\] = 1\.5 is not integral"),
+        ([(0, 1), (1, 2)], {"vertex_cost": [1, 2, np.inf]}, r"vertex_cost\[2\] = inf"),
+        ([(0, 1), (1, 2)], {"vertex_size": [1.9, 2.2, 1]}, r"vertex_size\[0\] = 1\.9 is not integral"),
+    ],
+    ids=["endpoint", "weight", "nan-weight", "int64-overflow", "cost", "inf-cost", "size"],
+)
+def test_from_edges_rejects_non_integral_values(edges, extra, match, as_array):
+    # a cast to int64 would truncate each of these without a word
+    if as_array:
+        edges = np.array(edges, dtype=float)
+        extra = {key: np.array(values) for key, values in extra.items()}
+    with pytest.raises(ValueError, match=match):
+        Graph.from_edges(3, edges, **extra)
+
+
+def test_from_edges_takes_integral_floats():
+    edges = np.array([[0, 1, 2], [1, 2, 1]], dtype=float)
+    given = Graph.from_edges(3, edges, vertex_cost=[1.0, 0.0, 3.0], vertex_size=np.array([1.0, 2, 1]))
+    assert given == Graph.from_edges(3, [(0, 1, 2), (1, 2)], vertex_cost=[1, 0, 3], vertex_size=[1, 2, 1])
+
+
 def _from_edges_loop(n, edges, vertex_cost=None, vertex_size=None):
     """Edge-by-edge reference for Graph.from_edges."""
     seen = {}
@@ -990,23 +1019,6 @@ def test_built_graphs_are_valid(tmp_path):
         assert g._checked and validate(g) == []
 
 
-def _unlockable(g):
-    """The names of ``g``'s arrays that ``setflags(write=True)`` unlocks,
-    on the array itself or on any array along its ``.base`` chain."""
-    out = []
-    for name in ("indptr", "indices", "weights", "vertex_cost", "vertex_size"):
-        arr = getattr(g, name)
-        assert not arr.flags.writeable
-        while isinstance(arr, np.ndarray):
-            try:
-                arr.setflags(write=True)
-                out.append(name)
-                break
-            except ValueError:
-                arr = arr.base
-    return out
-
-
 def test_no_graph_array_can_be_unlocked(tmp_path):
     loaded = load_metis(DATA / "grid12.graph")
     sorted_lines = write(tmp_path, "sorted.graph", "3 2 111 1\n1 2 2 4\n1 0 1 4 3 5\n2 7 2 5\n")
@@ -1027,7 +1039,8 @@ def test_no_graph_array_can_be_unlocked(tmp_path):
     ]
     assert graphs[4] == Graph.from_edges(3, [(0, 1, 4), (1, 2, 5)], vertex_cost=[2, 0, 7], vertex_size=[1, 1, 2])
     assert graphs[5] == graphs[6] == path_graph(3) == graphs[0]
-    assert [_unlockable(g) for g in graphs] == [[]] * len(graphs)
+    fields = ("indptr", "indices", "weights", "vertex_cost", "vertex_size")
+    assert [unlockable(g, fields) for g in graphs] == [[]] * len(graphs)
 
 
 def test_copies_of_a_built_graph_are_not_checked():

@@ -36,9 +36,8 @@ from vsep.multilevel import (
     Level,
     SolveParams,
     _admissible_pair,
+    _binary_sides,
     _bounds_reachable,
-    _random_binary_side,
-    _random_start,
     _random_starts,
     _subset_sums,
     _sum_reachable,
@@ -480,7 +479,8 @@ def test_random_start_falls_back_to_the_block_lp(monkeypatch):
     params = SolveParams(coarsest_size=30, multistarts=4)
     inst = build_hierarchy(gnp(120, 0.06, seed=7001), params).levels[-1].inst
     assert inst.n > 16 and inst.s.max() > 1  # an aggregated level, no exhaustive backstop
-    p = _random_start(inst, np.random.default_rng(0))
+    p = _random_starts(inst, [np.random.default_rng(0)])
+    p = Point(p.x[0], p.y[0])
     assert walks == [1] * 64  # 32 draws per side, then the block LP
     assert feasible(inst, p)
     for v in (p.x, p.y):
@@ -493,8 +493,9 @@ def test_random_start_falls_back_to_the_block_lp(monkeypatch):
 
 
 def _random_binary_side_loop(s, l, u, rng):
-    """Item-by-item reference of _random_binary_side: the same draws, then
-    each item of the permutation taken when it still fits the target."""
+    """Item-by-item reference of _binary_sides for one generator: the same
+    draws, then each item of the permutation taken when it still fits the
+    target."""
     target = int(rng.integers(l, u + 1)) if u > l else l
     v = np.zeros(s.size)
     run = 0.0
@@ -517,12 +518,13 @@ def test_random_binary_side_matches_item_loop():
         u = l if trial % 4 == 2 else int(meta.integers(l, total + 3))
         seed = int(meta.integers(2**32))
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got, ref = _random_binary_side(s, l, u, got_rng), _random_binary_side_loop(s, l, u, ref_rng)
+        (got,), (ok,) = _binary_sides(s, l, u, [got_rng])
+        ref = _random_binary_side_loop(s, l, u, ref_rng)
         if ref is None:
             failed += 1
-            assert got is None
+            assert not ok
         else:
-            assert got.tobytes() == ref.tobytes()
+            assert ok and got.tobytes() == ref.tobytes()
         assert got_rng.integers(2**62) == ref_rng.integers(2**62)  # the same draws were made
     assert failed > 30  # raised lower bounds that a draw misses are covered
 
@@ -570,8 +572,8 @@ def test_random_starts_match_start_by_start_draws():
             after = got_rng.integers(2**62)
             assert after == ref_rng.integers(2**62)  # the same draws were made
             one_rng = np.random.default_rng((seed, k))
-            q = _random_start(inst, one_rng)
-            assert q.x.tobytes() == ref.x.tobytes() and q.y.tobytes() == ref.y.tobytes()
+            q = _random_starts(inst, [one_rng])
+            assert q.x[0].tobytes() == ref.x.tobytes() and q.y[0].tobytes() == ref.y.tobytes()
             assert one_rng.integers(2**62) == after
     # retries, the block-LP fallback and sides found at once are all covered
     assert draws.count(33) > 5 and len(set(draws)) > 10 and draws.count(1) > len(draws) / 2
@@ -656,7 +658,8 @@ def _multistart_loop(inst, params, stats):
     (without its exhaustive backstop for n <= 16)."""
     best, best_f = None, -math.inf
     for start in range(params.multistarts):
-        p = _random_start(inst, np.random.default_rng((params.seed, start)))
+        p = _random_starts(inst, [np.random.default_rng((params.seed, start))])
+        p = Point(p.x[0], p.y[0])
         try:
             p = refine(inst, p, inst.gamma0)
             p = escape(inst, p, gamma_steps=params.gamma_steps, stats=stats)
@@ -801,6 +804,18 @@ def test_solve_edgeless_ten():
 def test_solve_k4_infeasible():
     with pytest.raises(InfeasibleError):
         solve(complete_graph(4))
+
+
+def test_solve_refuses_costs_that_float64_would_round():
+    # 2**53 + 1 reads as 2**53 in float64, and the separator weight would too
+    g = Graph.from_edges(3, [(0, 1), (1, 2)], vertex_cost=[1, 2**53 + 1, 1])
+    with pytest.raises(ValueError, match=r"costs must sum below 2\*\*53"):
+        solve(g)
+    # just below the limit every sum is exact
+    g = Graph.from_edges(3, [(0, 1), (1, 2)], vertex_cost=[1, 2**53 - 3, 1])
+    part, _ = solve(g)
+    assert part.separator_weight == 2**53 - 3
+    assert partition_violations(g, part, *SolveParams().bounds(g.n)) == []
 
 
 def test_solve_oracle_answers_small_graphs_coarsening_makes_infeasible():

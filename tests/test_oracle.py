@@ -3,11 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import complete_graph, empty_graph, gnp, path_graph
+from conftest import brute_force_lp, complete_graph, empty_graph, gnp, path_graph
 from vsep.cbp import InfeasibleBoundsError, instance_from_graph, partition_violations, solve_block_lp
 from vsep.graphs import Graph
 from vsep.multilevel import SolveParams
-from vsep.oracle import TooLargeError, brute_force_lp, brute_force_vsp
+from vsep.oracle import TooLargeError, brute_force_vsp
 
 EPS = 1e-9
 
